@@ -14,6 +14,7 @@ The p = 1 specialization bounds the full-frame trace moment:
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 
 from .erasure_moments import expected_moment, trace_moment
@@ -92,6 +93,22 @@ def _classify(frame: Frame, slack: float, equality_tol: float, violation_tol: fl
     return STRICT
 
 
+def _report(frame, moment, bound, p, d, tol, equality_tol, violation_tol) -> BoundReport:
+    """Classify moment - bound; tol sets both tolerances unless overridden."""
+    eq = tol if equality_tol is None else equality_tol
+    vi = tol if violation_tol is None else violation_tol
+    if not all(math.isfinite(t) and t >= 0.0 for t in (eq, vi)):
+        raise ValueError(f"tolerances must be finite and >= 0, got {eq} and {vi}")
+    slack = moment - bound
+    return BoundReport(
+        moment=moment,
+        bound=bound,
+        slack=slack,
+        equality_class=_classify(frame, slack, eq, vi),
+        params=BoundParams(m=frame.m, n=frame.n, p=float(p), d=d),
+    )
+
+
 def check_theorem(
     frame: Frame,
     p: float,
@@ -107,18 +124,9 @@ def check_theorem(
     equality tolerance stays tight even when the violation one is loosened).
     Order 1 is excluded: m_1 = p identically, there is nothing to bound.
     """
-    eq = tol if equality_tol is None else equality_tol
-    vi = tol if violation_tol is None else violation_tol
     moment = expected_moment(frame, p, d)
     bound = erasure_welch_bound(frame.m, frame.n, p, d)
-    slack = moment - bound
-    return BoundReport(
-        moment=moment,
-        bound=bound,
-        slack=slack,
-        equality_class=_classify(frame, slack, eq, vi),
-        params=BoundParams(m=frame.m, n=frame.n, p=float(p), d=d),
-    )
+    return _report(frame, moment, bound, p, d, tol, equality_tol, violation_tol)
 
 
 def lemma1_check(
@@ -135,18 +143,9 @@ def lemma1_check(
     """
     if d < 1:
         raise ValueError("moment order must be a positive integer")
-    eq = tol if equality_tol is None else equality_tol
-    vi = tol if violation_tol is None else violation_tol
     moment = trace_moment(frame, d)
     bound = (frame.n / frame.m) ** (d - 1)
-    slack = moment - bound
-    return BoundReport(
-        moment=moment,
-        bound=bound,
-        slack=slack,
-        equality_class=_classify(frame, slack, eq, vi),
-        params=BoundParams(m=frame.m, n=frame.n, p=1.0, d=d),
-    )
+    return _report(frame, moment, bound, 1.0, d, tol, equality_tol, violation_tol)
 
 
 def subset_rms_bound(k: float, m: int, n: int) -> float:

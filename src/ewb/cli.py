@@ -19,11 +19,13 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import os
 import sys
 from contextlib import nullcontext
 from datetime import datetime, timezone
+from pathlib import Path
 
 import numpy as np
 
@@ -66,24 +68,33 @@ def _fmt(v) -> str:
     return f"{float(v):.17g}"
 
 
-def _float_list(text: str):
-    try:
-        vals = [float(tok) for tok in text.split(",") if tok.strip() != ""]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a comma-separated float list, got {text!r}")
-    if not vals:
-        raise argparse.ArgumentTypeError("list must be nonempty")
-    return vals
+def _list_of(kind):
+    """argparse type for a nonempty comma-separated list of kind (int or float)."""
+
+    def parse(text: str):
+        try:
+            vals = [kind(tok) for tok in text.split(",") if tok.strip() != ""]
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected a comma-separated {kind.__name__} list, got {text!r}"
+            )
+        if not vals:
+            raise argparse.ArgumentTypeError("list must be nonempty")
+        return vals
+
+    return parse
 
 
-def _int_list(text: str):
-    try:
-        vals = [int(tok) for tok in text.split(",") if tok.strip() != ""]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a comma-separated int list, got {text!r}")
-    if not vals:
-        raise argparse.ArgumentTypeError("list must be nonempty")
-    return vals
+_floats = _list_of(float)
+_ints = _list_of(int)
+
+
+def _orders(ds, what: str, lo: int = 2, hi: int | None = 4) -> list:
+    """ds sorted, after checking that every order lies in lo..hi (hi=None: no upper limit)."""
+    if any(d < lo or (hi is not None and d > hi) for d in ds):
+        limit = f">= {lo}" if hi is None else f"in {lo}..{hi}"
+        raise ValueError(f"{what} orders must be {limit}")
+    return sorted(ds)
 
 
 def _resolve_seed(args) -> int:
@@ -130,11 +141,10 @@ def _out_stream(path):
 
 def _load_frame_meta(path) -> dict:
     try:
-        raw = json.loads(open(path).read())
-        meta = raw.get("construction")
-        return meta if isinstance(meta, dict) else {}
+        meta = json.loads(Path(path).read_text()).get("construction")
     except (OSError, ValueError):
         return {}
+    return meta if isinstance(meta, dict) else {}
 
 
 # ---------------------------------------------------------------------------
@@ -142,50 +152,46 @@ def _load_frame_meta(path) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def cmd_construct(args) -> int:
-    kind = args.kind
-    meta = {"kind": kind}
-    seed = None
-    if kind == "random":
-        if args.m is None or args.n is None:
-            raise ValueError("random construction needs --m and --n")
-        seed = _resolve_seed(args)
-        frame = random_frame(args.m, args.n, args.field, seed)
-        meta.update(m=args.m, n=args.n, field=args.field, seed=seed, generator=GENERATOR_NAME)
-    elif kind == "simplex":
-        if args.m is None:
-            raise ValueError("simplex construction needs --m")
-        frame = simplex_etf(args.m)
-        meta.update(m=args.m)
-    elif kind == "harmonic":
-        if args.q is None:
-            raise ValueError("harmonic construction needs --q")
-        frame = harmonic_etf(args.q)
-        meta.update(q=args.q)
-    elif kind == "repeated-onb":
-        if args.m is None:
-            raise ValueError("repeated-onb construction needs --m")
-        frame = repeated_onb(args.m, args.copies)
-        meta.update(m=args.m, copies=args.copies)
-    elif kind == "nearest-utf":
-        if args.frame is None:
-            raise ValueError("nearest-utf needs --frame with the input frame file")
-        result = nearest_utf(load_frame(args.frame), max_iters=args.max_iters, tol=args.tol)
-        frame = result.frame
-        meta.update(
-            source=args.frame,
-            residual=result.residual,
-            iterations=result.iterations,
-            converged=result.converged,
+def _nearest_utf(a) -> Frame:
+    result = nearest_utf(load_frame(a.frame), max_iters=a.max_iters, tol=a.tol)
+    a.source, a.residual = a.frame, result.residual
+    a.iterations, a.converged = result.iterations, result.converged
+    if not result.converged:
+        print(
+            f"warning: projection residual {result.residual:.3e} above tolerance "
+            f"after {result.iterations} iterations",
+            file=sys.stderr,
         )
-        if not result.converged:
-            print(
-                f"warning: projection residual {result.residual:.3e} above tolerance "
-                f"after {result.iterations} iterations",
-                file=sys.stderr,
-            )
-    else:
-        raise ValueError(f"unknown construction kind {kind!r}")
+    return result.frame
+
+
+# kind -> (options it needs, construction-record keys read back from the
+# options after the build, builder).  A builder takes the parsed options with
+# scalar values; it looks constructors up in this module when it runs.
+CONSTRUCTIONS = {
+    "random": (("m", "n"), ("m", "n", "field", "seed", "generator"),
+               lambda a: random_frame(a.m, a.n, a.field, a.seed)),
+    "simplex": (("m",), ("m",), lambda a: simplex_etf(a.m)),
+    "harmonic": (("q",), ("q",), lambda a: harmonic_etf(a.q)),
+    "repeated-onb": (("m",), ("m", "copies"), lambda a: repeated_onb(a.m, a.copies)),
+    "nearest-utf": (("frame",), ("source", "residual", "iterations", "converged"), _nearest_utf),
+}
+# sweeps build from option lists, so kinds that read a frame file are construct-only
+SWEEP_FAMILIES = [k for k, (needs, _, _) in CONSTRUCTIONS.items() if "frame" not in needs]
+
+
+def _require(args, needs, what: str) -> None:
+    if any(getattr(args, k) is None for k in needs):
+        raise ValueError(f"{what} needs " + " and ".join(f"--{k}" for k in needs))
+
+
+def cmd_construct(args) -> int:
+    needs, recorded, build = CONSTRUCTIONS[args.kind]
+    _require(args, needs, f"{args.kind} construction")
+    seed = _resolve_seed(args) if "seed" in recorded else None
+    a = argparse.Namespace(**{**vars(args), "seed": seed, "generator": GENERATOR_NAME})
+    frame = build(a)
+    meta = {"kind": args.kind, **{k: getattr(a, k) for k in recorded}}
 
     man = _manifest(args, seed=seed)
     save_frame(frame, args.out, extra={"construction": meta, "manifest": man})
@@ -210,11 +216,7 @@ def cmd_construct(args) -> int:
 def cmd_moments(args) -> int:
     frame = load_frame(args.frame)
     ps = sorted(args.p)
-    ds = sorted(args.d)
-    if any(d < 1 for d in ds):
-        raise ValueError("moment orders must be positive")
-    if args.method == "poly" and any(d > 4 for d in ds):
-        raise ValueError("method poly supports orders 1..4 only; no closed coefficient form above 4 is shipped")
+    ds = _orders(args.d, f"method {args.method}", 1, 4 if args.method == "poly" else None)
     if args.method == "brute" and frame.n > BRUTEFORCE_MAX_N:
         raise ValueError(
             f"brute force enumerates 2^n patterns and needs n <= {BRUTEFORCE_MAX_N}; this frame has n={frame.n}"
@@ -262,15 +264,9 @@ def cmd_moments(args) -> int:
 
 def cmd_bound(args) -> int:
     frame = load_frame(args.frame)
-    for d in args.d:
-        if d not in (2, 3, 4):
-            raise ValueError("bound orders must be in 2..4")
+    ds = _orders(args.d, "bound")
     man = _manifest(args)
-    reports = [
-        check_theorem(frame, p, d, tol=args.tol)
-        for p in sorted(args.p)
-        for d in sorted(args.d)
-    ]
+    reports = [check_theorem(frame, p, d, tol=args.tol) for p in sorted(args.p) for d in ds]
     obj = {
         "manifest": man,
         "frame": {
@@ -345,55 +341,29 @@ def cmd_manova(args) -> int:
 
 
 def _sweep_frames(args, seed: int):
-    """Deterministically ordered (label, m_or_q, frame_seed, Frame) tuples."""
-    fam = args.family
-    out = []
-    if fam == "random":
-        if args.m is None or args.n is None:
-            raise ValueError("random sweep needs --m and --n lists")
-        for m in sorted(args.m):
-            for n in sorted(args.n):
-                if n < m:
-                    continue
-                for i in range(args.num_seeds):
-                    out.append((m, n, seed + i, random_frame(m, n, args.field, seed + i)))
-        if not out:
-            raise ValueError("no valid (m, n) pairs with n >= m in the sweep grid")
-    elif fam == "simplex":
-        if args.m is None:
-            raise ValueError("simplex sweep needs --m list")
-        for m in sorted(args.m):
-            frame = simplex_etf(m)
-            out.append((m, frame.n, None, frame))
-    elif fam == "harmonic":
-        if args.q is None:
-            raise ValueError("harmonic sweep needs --q list")
-        for q in sorted(args.q):
-            frame = harmonic_etf(q)
-            out.append((frame.m, frame.n, None, frame))
-    elif fam == "repeated-onb":
-        if args.m is None:
-            raise ValueError("repeated-onb sweep needs --m list")
-        for m in sorted(args.m):
-            frame = repeated_onb(m, args.copies)
-            out.append((m, frame.n, None, frame))
-    else:
-        raise ValueError(f"unknown family {fam!r}")
-    return out
+    """Yield (frame_seed, Frame) over the sorted option grid, one frame at a
+    time, so that only one frame's cached invariants are alive at once."""
+    needs, recorded, build = CONSTRUCTIONS[args.family]
+    _require(args, needs, f"{args.family} sweep")
+    lists = [sorted(getattr(args, k)) for k in needs]
+    cells = [dict(zip(needs, vals)) for vals in itertools.product(*lists)]
+    seeds = [seed + i for i in range(args.num_seeds)] if "seed" in recorded else [None]
+    grid = [(c, s) for c in cells if "n" not in c or c["n"] >= c["m"] for s in seeds]
+    if not grid:
+        raise ValueError("no valid (m, n) pairs with n >= m in the sweep grid")
+    for cell, frame_seed in grid:
+        yield frame_seed, build(argparse.Namespace(**{**vars(args), **cell, "seed": frame_seed}))
 
 
 def cmd_sweep(args) -> int:
-    for d in args.d:
-        if d not in (2, 3, 4):
-            raise ValueError("sweep orders must be in 2..4")
+    ds = _orders(args.d, "sweep")
     seed = _resolve_seed(args)
-    frames = _sweep_frames(args, seed)
     man = _manifest(args, seed=seed)
 
     violations = 0
     rows = []
     counter = 0
-    for m, n, frame_seed, frame in frames:
+    for frame_seed, frame in _sweep_frames(args, seed):
         for p in sorted(args.p):
             ks = ""
             err_ks = ""
@@ -409,8 +379,9 @@ def cmd_sweep(args) -> int:
                 except ValueError as exc:
                     err_ks = f"ks: {exc}"
             counter += 1
-            for d in sorted(args.d):
-                base = [args.family, m, n, "" if frame_seed is None else frame_seed, _fmt(p), d]
+            for d in ds:
+                base = [args.family, frame.m, frame.n, "" if frame_seed is None else frame_seed,
+                        _fmt(p), d]
                 try:
                     rep = check_theorem(frame, p, d)
                     if rep.equality_class == VIOLATION:
@@ -450,8 +421,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     c = sub.add_parser("construct", help="build a frame and write it as JSON")
-    c.add_argument("--kind", required=True,
-                   choices=["random", "simplex", "harmonic", "repeated-onb", "nearest-utf"])
+    c.add_argument("--kind", required=True, choices=list(CONSTRUCTIONS))
     c.add_argument("--m", type=int)
     c.add_argument("--n", type=int)
     c.add_argument("--q", type=int)
@@ -466,8 +436,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     mo = sub.add_parser("moments", help="erased-moment table for a frame file")
     mo.add_argument("--frame", required=True)
-    mo.add_argument("--p", type=_float_list, required=True, help="comma list of keep probabilities")
-    mo.add_argument("--d", type=_int_list, required=True, help="comma list of moment orders")
+    mo.add_argument("--p", type=_floats, required=True, help="comma list of keep probabilities")
+    mo.add_argument("--d", type=_ints, required=True, help="comma list of moment orders")
     mo.add_argument("--method", choices=["poly", "brute", "mc"], default="poly")
     mo.add_argument("--trials", type=int)
     mo.add_argument("--seed", type=int)
@@ -476,8 +446,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     b = sub.add_parser("bound", help="erasure Welch bound reports for a frame file")
     b.add_argument("--frame", required=True)
-    b.add_argument("--p", type=_float_list, required=True)
-    b.add_argument("--d", type=_int_list, required=True)
+    b.add_argument("--p", type=_floats, required=True)
+    b.add_argument("--d", type=_ints, required=True)
     b.add_argument("--tol", type=float, default=1e-9)
     b.add_argument("--out")
     b.set_defaults(func=cmd_bound)
@@ -485,22 +455,21 @@ def build_parser() -> argparse.ArgumentParser:
     ma = sub.add_parser("manova", help="MANOVA moment table or density grid as CSV")
     ma.add_argument("--gamma", type=float, required=True)
     ma.add_argument("--p", type=float, required=True)
-    ma.add_argument("--d", type=_int_list, help="moment orders (default 1,2,3,4)")
+    ma.add_argument("--d", type=_ints, help="moment orders (default 1,2,3,4)")
     ma.add_argument("--grid", type=int, help="emit the density on this many bulk grid points instead")
     ma.add_argument("--out")
     ma.set_defaults(func=cmd_manova)
 
     s = sub.add_parser("sweep", help="long-format CSV over a family / p / d grid")
-    s.add_argument("--family", required=True,
-                   choices=["random", "simplex", "harmonic", "repeated-onb"])
-    s.add_argument("--m", type=_int_list)
-    s.add_argument("--n", type=_int_list)
-    s.add_argument("--q", type=_int_list)
+    s.add_argument("--family", required=True, choices=SWEEP_FAMILIES)
+    s.add_argument("--m", type=_ints)
+    s.add_argument("--n", type=_ints)
+    s.add_argument("--q", type=_ints)
     s.add_argument("--copies", type=int, default=2)
     s.add_argument("--field", choices=["real", "complex"], default="real")
     s.add_argument("--num-seeds", type=int, default=1, help="random frames per (m, n)")
-    s.add_argument("--p", type=_float_list, required=True)
-    s.add_argument("--d", type=_int_list, required=True)
+    s.add_argument("--p", type=_floats, required=True)
+    s.add_argument("--d", type=_ints, required=True)
     s.add_argument("--trials", type=int, help="erasure trials per row for the KS column")
     s.add_argument("--seed", type=int)
     s.add_argument("--out")

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .frames import Frame, gram
+from .frames import Frame, gram, trace_powers
 from .rng import keep_masks
 
 BRUTEFORCE_MAX_N = 24
@@ -69,15 +69,14 @@ def trace_moment(frame: Frame, d: int) -> float:
     """(1/n) trace((F F')^d) by repeated dense multiplication.
 
     Works on the m-by-m factor FF' (m <= n); equals the moment of the
-    unerased frame, i.e. m_d at p = 1.
+    unerased frame, i.e. m_d at p = 1.  Orders <= 4 are cached per frame.
     """
     if d < 1:
         raise ValueError("moment order must be a positive integer")
-    a = frame.entries @ frame.entries.conj().T
-    cur = a
-    for _ in range(d - 1):
-        cur = cur @ a
-    return float(np.trace(cur).real) / frame.n
+    inv = frame.invariants
+    if d <= len(inv.traces):
+        return inv.traces[d - 1]
+    return trace_powers(inv.ffh, frame.n, d)[-1]
 
 
 def moment_polynomial(frame: Frame, d: int) -> MomentPolynomial:
@@ -88,28 +87,22 @@ def moment_polynomial(frame: Frame, d: int) -> MomentPolynomial:
     a_{3,3} = T_3 - 1 - a_{3,2}; for d = 4, with S4 = (1/n) sum |c|^4,
     C_i = sum_{j != i} |c_ij|^2 and Q = (1/n) sum C_i^2:
     a_{4,2} = 6 a_{2,2} + S4, a_{4,3} = 4 a_{3,3} + 2 Q - 2 S4, and
-    a_{4,4} closes against T_4.
+    a_{4,4} closes against T_4; T_d, S4 and Q are cached per frame.
     """
     if not 1 <= d <= 4:
         raise ValueError("moment order must be 1..4 (no closed coefficient form above 4)")
     if d == 1:
         return MomentPolynomial(d=1, coeffs=(1.0,))
-    n = frame.n
-    sq = np.abs(gram(frame).entries) ** 2
-    np.fill_diagonal(sq, 0.0)
-    a22 = float(sq.sum()) / n
+    inv = frame.invariants
     if d == 2:
-        return MomentPolynomial(d=2, coeffs=(1.0, a22))
-    a32 = 3.0 * a22
-    a33 = trace_moment(frame, 3) - 1.0 - a32
+        return MomentPolynomial(d=2, coeffs=(1.0, inv.a22))
+    a32 = 3.0 * inv.a22
+    a33 = inv.traces[2] - 1.0 - a32
     if d == 3:
         return MomentPolynomial(d=3, coeffs=(1.0, a32, a33))
-    s4 = float((sq**2).sum()) / n
-    c = sq.sum(axis=1)
-    q = float((c**2).sum()) / n
-    a42 = 6.0 * a22 + s4
-    a43 = 4.0 * a33 + 2.0 * q - 2.0 * s4
-    a44 = trace_moment(frame, 4) - 1.0 - a42 - a43
+    a42 = 6.0 * inv.a22 + inv.s4
+    a43 = 4.0 * a33 + 2.0 * inv.q - 2.0 * inv.s4
+    a44 = inv.traces[3] - 1.0 - a42 - a43
     return MomentPolynomial(d=4, coeffs=(1.0, a42, a43, a44))
 
 

@@ -8,7 +8,8 @@ difference-set harmonic family), random frames, an alternating-projection
 map onto the uniform tight frames, and a JSON/CSV file format.
 
 All functions are pure; Frame and GramMatrix are immutable after
-construction and safe to share across threads.
+construction and safe to share across threads (a Frame caches its
+Gram-derived invariants on first use; a race only computes them twice).
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -37,7 +39,7 @@ class Frame:
     """Immutable m-by-n matrix with unit-norm columns.
 
     field is "real" or "complex"; entries is float64 or complex128
-    accordingly, columns are the frame vectors.
+    accordingly, columns are the frame vectors.  Entries must be finite.
     """
 
     field: str
@@ -58,6 +60,8 @@ class Frame:
         m, n = ent.shape
         if m < 1 or n < m:
             raise ValueError(f"need n >= m >= 1, got m={m}, n={n}")
+        if not np.isfinite(ent).all():
+            raise ValueError("entries must be finite")
         norms = np.linalg.norm(ent, axis=0)
         worst = float(np.max(np.abs(norms - 1.0)))
         if worst > NORM_TOL:
@@ -72,6 +76,11 @@ class Frame:
     @property
     def n(self) -> int:
         return self.entries.shape[1]
+
+    @cached_property
+    def invariants(self) -> FrameInvariants:
+        """Gram-derived invariants, built on first use and kept: the frame is read-only."""
+        return frame_invariants(self)
 
 
 @dataclass(frozen=True)
@@ -106,6 +115,59 @@ def welch_floor(m: int, n: int) -> float:
     return (n - m) / ((n - 1) * m)
 
 
+def trace_powers(a: np.ndarray, n: int, d_max: int) -> list:
+    """[(1/n) tr(a^d) for d = 1..d_max] by the chain cur = cur @ a."""
+    powers = [a]
+    for _ in range(d_max - 1):
+        powers.append(powers[-1] @ a)
+    return [float(np.trace(cur).real) / n for cur in powers]
+
+
+@dataclass(frozen=True)
+class FrameInvariants:
+    """What moments, bounds and predicates read: traces[d-1] = (1/n) tr((FF')^d)
+    for d <= 4; over off-diagonal Gram entries c, a22, s4 and q are (1/n) sum
+    |c|^2, (1/n) sum |c|^4 and (1/n) sum_i (sum_j |c_ij|^2)^2, rms_sq/max_sq
+    the mean/max |c|^2 and etf_gap max ||c|^2 - welch_floor| (0 at n = 1);
+    utf_residual is the Frobenius norm of FF' - (n/m) I."""
+
+    gram: GramMatrix
+    ffh: np.ndarray
+    traces: tuple
+    a22: float
+    s4: float
+    q: float
+    rms_sq: float
+    max_sq: float
+    etf_gap: float
+    utf_residual: float
+
+
+def frame_invariants(frame: Frame) -> FrameInvariants:
+    """One Gram product and one FF' power chain; Frame.invariants caches the result."""
+    ent, m, n = frame.entries, frame.m, frame.n
+    g = ent.conj().T @ ent
+    upper = np.triu(g, 1)
+    g = upper + upper.conj().T + np.eye(n, dtype=g.dtype)
+    ffh = ent @ ent.conj().T
+    ffh.setflags(write=False)
+    sq = np.abs(g) ** 2
+    off = sq[~np.eye(n, dtype=bool)]  # empty when n = 1
+    np.fill_diagonal(sq, 0.0)
+    return FrameInvariants(
+        gram=GramMatrix(n=n, entries=g),
+        ffh=ffh,
+        traces=tuple(trace_powers(ffh, n, 4)),
+        a22=float(sq.sum()) / n,
+        s4=float((sq**2).sum()) / n,
+        q=float((sq.sum(axis=1) ** 2).sum()) / n,
+        rms_sq=float(off.sum() / max(n * (n - 1), 1)),
+        max_sq=float(off.max(initial=0.0)),
+        etf_gap=float(np.max(np.abs(off - welch_floor(m, n)), initial=0.0)),
+        utf_residual=float(np.linalg.norm(ffh - (n / m) * np.eye(m))),
+    )
+
+
 def gram(frame: Frame) -> GramMatrix:
     """Cross-correlation matrix G[i,j] = <f_i, f_j> (conjugated in the first slot).
 
@@ -113,61 +175,31 @@ def gram(frame: Frame) -> GramMatrix:
     structurally (the lower triangle is the conjugate of the upper), so the
     result is Hermitian as stored, not merely up to rounding.
     """
-    ent = frame.entries
-    norms = np.linalg.norm(ent, axis=0)
-    worst = float(np.max(np.abs(norms - 1.0)))
-    if worst > CLASS_TOL:
-        raise ValueError(f"column norms deviate from 1 by {worst:.3e}")
-    g = ent.conj().T @ ent
-    upper = np.triu(g, 1)
-    exact = upper + upper.conj().T + np.eye(frame.n, dtype=g.dtype)
-    return GramMatrix(n=frame.n, entries=exact)
+    return frame.invariants.gram
 
 
 def coherence(frame: Frame) -> CoherenceReport:
     """Squared rms and max absolute cross-correlation over distinct pairs."""
-    n = frame.n
-    if n < 2:
+    if frame.n < 2:
         raise ValueError("coherence needs n >= 2")
-    g = gram(frame).entries
-    sq = np.abs(g) ** 2
-    off = sq[~np.eye(n, dtype=bool)]
-    rms_sq = float(off.sum() / (n * (n - 1)))
-    max_sq = float(off.max())
-    return CoherenceReport(rms_sq=rms_sq, max_sq=max_sq, welch_floor=welch_floor(frame.m, n))
-
-
-def _utf_residual(frame: Frame) -> float:
-    m, n = frame.m, frame.n
-    a = frame.entries @ frame.entries.conj().T
-    return float(np.linalg.norm(a - (n / m) * np.eye(m)))
+    inv = frame.invariants
+    return CoherenceReport(inv.rms_sq, inv.max_sq, welch_floor(frame.m, frame.n))
 
 
 def is_utf(frame: Frame, tol: float = CLASS_TOL) -> bool:
     """True when F F' = (n/m) I up to tol (Frobenius, scaled by (n/m) sqrt(m))."""
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tol must be positive")
-    m, n = frame.m, frame.n
-    return _utf_residual(frame) <= tol * (n / m) * np.sqrt(m)
+    return frame.invariants.utf_residual <= tol * (frame.n / frame.m) * np.sqrt(frame.m)
 
 
 def is_etf(frame: Frame, tol: float = CLASS_TOL) -> bool:
     """True when the frame is tight and all |<f_i,f_j>|^2 sit at the Welch floor.
 
     At n = m the floor is 0 and the condition degenerates to "orthonormal
-    basis", which is what the uniform formula below checks.
+    basis", which is what the uniform formula below checks.  is_utf checks tol.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    if not is_utf(frame, tol):
-        return False
-    n = frame.n
-    if n == 1:
-        return True
-    g = gram(frame).entries
-    sq = np.abs(g) ** 2
-    off = sq[~np.eye(n, dtype=bool)]
-    return float(np.max(np.abs(off - welch_floor(frame.m, n)))) <= tol
+    return is_utf(frame, tol) and frame.invariants.etf_gap <= tol
 
 
 def _normalize_columns(ent: np.ndarray) -> np.ndarray:
@@ -280,7 +312,7 @@ def nearest_utf(frame: Frame, max_iters: int = 500, tol: float = 1e-9) -> Neares
         raise ValueError("need max_iters >= 1 and tol > 0")
     m, n = frame.m, frame.n
     ent = np.array(frame.entries)
-    residual = _utf_residual(frame)
+    residual = frame.invariants.utf_residual
     iters = 0
     while residual > tol and iters < max_iters:
         cov = ent @ ent.conj().T

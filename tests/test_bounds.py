@@ -118,6 +118,26 @@ def test_check_theorem_tolerance_overrides():
     assert rep_tight.equality_class in (STRICT, UTF_EQUALITY)
 
 
+@pytest.mark.parametrize(
+    "kwargs",
+    [{"tol": float("nan")}, {"tol": -1.0}, {"equality_tol": float("inf")},
+     {"violation_tol": -1e-12}],
+)
+def test_reports_reject_invalid_tolerances(kwargs):
+    # a NaN tolerance would make every report "strict", a negative one would
+    # call a generic frame a violation
+    f = random_frame(3, 6, "real", seed=0)
+    with pytest.raises(ValueError, match="tolerances"):
+        check_theorem(f, 0.5, 2, **kwargs)
+    with pytest.raises(ValueError, match="tolerances"):
+        lemma1_check(f, 2, **kwargs)
+
+
+def test_zero_tolerance_is_accepted():
+    f = random_frame(3, 6, "real", seed=0)
+    assert check_theorem(f, 0.5, 2, tol=0.0).equality_class == STRICT
+
+
 def test_lemma_orthonormal_basis():
     f = Frame(field="real", entries=np.eye(4))
     for d in (1, 2, 3, 6):

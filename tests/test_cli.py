@@ -1,12 +1,14 @@
 import csv
+import gc
 import json
+import warnings
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from ewb import load_frame
-from ewb.cli import main
+from ewb import frames, load_frame
+from ewb.cli import SWEEP_FAMILIES, _sweep_frames, build_parser, main
 
 
 def read_csv(path):
@@ -153,6 +155,35 @@ def test_bound_rejects_tampered_frame(etf_file, tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_bound_rejects_non_finite_frame(tmp_path, capsys):
+    bad = tmp_path / "nan.json"
+    bad.write_text(json.dumps(
+        {"field": "real", "m": 2, "n": 3, "data": [[1.0, 0.0, float("nan")], [0.0, 1.0, 1.0]]}
+    ))
+    out = tmp_path / "b.json"
+    assert main(["bound", "--frame", str(bad), "--p", "0.5", "--d", "2",
+                 "--out", str(out)]) == 2
+    assert "finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("tol", ["nan", "-1"])
+def test_bound_rejects_invalid_tolerance(etf_file, tmp_path, tol):
+    out = tmp_path / "b.json"
+    assert main(["bound", "--frame", etf_file, "--p", "0.5", "--d", "2", "--tol", tol,
+                 "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+def test_bound_closes_frame_files(etf_file, tmp_path):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["bound", "--frame", etf_file, "--p", "0.5", "--d", "2",
+                     "--out", str(tmp_path / "b.json")]) == 0
+        gc.collect()
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+
+
 def test_bound_rejects_bad_order(etf_file):
     assert main(["bound", "--frame", etf_file, "--p", "0.5", "--d", "1"]) == 2
 
@@ -223,6 +254,51 @@ def test_sweep_random_family_strict_with_ks(tmp_path):
     for r in data:
         assert float(r[8]) > 0.0  # generic frames sit strictly above the bound
         assert 0.0 <= float(r[9]) <= 1.0  # ks column populated
+
+
+def test_sweep_rejects_bad_order_before_any_row(tmp_path):
+    out = tmp_path / "s.csv"
+    assert main(["sweep", "--family", "harmonic", "--q", "7", "--p", "0.5", "--d", "2,5",
+                 "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+def test_invariants_built_once_per_frame(etf_file, tmp_path, monkeypatch):
+    built = []
+    build = frames.frame_invariants
+    monkeypatch.setattr(frames, "frame_invariants", lambda f: built.append(f) or build(f))
+    assert main(["bound", "--frame", etf_file, "--p", "0.25,0.5,0.75", "--d", "2,3,4",
+                 "--out", str(tmp_path / "b.json")]) == 0
+    assert len(built) == 1
+    built.clear()
+    assert main(["sweep", "--family", "random", "--m", "2,3", "--n", "6",
+                 "--p", "0.25,0.5,0.75", "--d", "2,3,4", "--trials", "50", "--seed", "1",
+                 "--out", str(tmp_path / "s.csv")]) == 0
+    assert len(built) == 2 and built[0] is not built[1]
+
+
+# one option set per sweep family; construct and sweep must build the same frame
+SWEEP_OPTIONS = {
+    "random": ["--m", "3", "--n", "5", "--field", "complex"],
+    "simplex": ["--m", "4"],
+    "harmonic": ["--q", "11"],
+    "repeated-onb": ["--m", "2", "--copies", "3"],
+}
+
+
+def test_sweep_options_cover_every_family():
+    assert sorted(SWEEP_OPTIONS) == sorted(SWEEP_FAMILIES)
+
+
+@pytest.mark.parametrize("kind", sorted(SWEEP_OPTIONS))
+def test_construct_and_sweep_build_the_same_frame(kind, tmp_path):
+    opts = SWEEP_OPTIONS[kind] + ["--seed", "5"]
+    out = tmp_path / "f.json"
+    assert main(["construct", "--kind", kind, *opts, "--out", str(out)]) == 0
+    args = build_parser().parse_args(["sweep", "--family", kind, *opts, "--p", "0.5", "--d", "2"])
+    [(_, frame)] = list(_sweep_frames(args, 5))
+    assert frame.field == load_frame(out).field
+    assert np.array_equal(frame.entries, load_frame(out).entries)
 
 
 def test_sweep_empty_probability_list_is_usage_error(tmp_path):

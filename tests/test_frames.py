@@ -38,6 +38,18 @@ def test_frame_rejects_bad_shape_and_field():
         Frame(field="real", entries=np.eye(2).astype(complex))
 
 
+def test_frame_rejects_non_finite_entries():
+    ent = np.array([[1.0, 0.0, np.nan], [0.0, 1.0, 1.0]])
+    with pytest.raises(ValueError, match="finite"):
+        Frame(field="real", entries=ent)
+
+
+def test_invariants_are_cached():
+    f = random_frame(3, 5, "complex", seed=2)
+    assert f.invariants is f.invariants
+    assert gram(f) is gram(f)
+
+
 def test_frame_entries_are_immutable():
     f = random_frame(2, 4, "real", seed=0)
     with pytest.raises(ValueError):
@@ -98,6 +110,12 @@ def test_is_utf_examples():
     assert not is_utf(random_frame(4, 8, "real", seed=1))
     with pytest.raises(ValueError):
         is_utf(repeated_onb(2, 2), tol=0.0)
+
+
+def test_predicates_reject_nan_tolerance():
+    for predicate in (is_utf, is_etf):
+        with pytest.raises(ValueError):
+            predicate(repeated_onb(2, 2), tol=float("nan"))
 
 
 def test_is_etf_examples(mercedes_benz):
@@ -257,3 +275,24 @@ def test_property_rms_never_below_welch_floor(m, extra, seed, field):
     rep = coherence(f)
     assert rep.max_sq >= rep.rms_sq >= rep.welch_floor - 1e-12
     assert_allclose(np.linalg.norm(f.entries, axis=0), 1.0, atol=1e-10)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    m=st.integers(min_value=1, max_value=4),
+    extra=st.integers(min_value=0, max_value=4),
+    field=st.sampled_from(["real", "complex"]),
+    bad=st.sampled_from([np.nan, np.inf, -np.inf]),
+    imaginary=st.booleans(),
+    data=st.data(),
+)
+def test_property_non_finite_entries_rejected(m, extra, field, bad, imaginary, data):
+    ent = np.array(random_frame(m, m + extra, field, seed=0).entries)
+    i = data.draw(st.integers(min_value=0, max_value=m - 1))
+    j = data.draw(st.integers(min_value=0, max_value=m + extra - 1))
+    if field == "complex" and imaginary:
+        ent[i, j] = complex(ent[i, j].real, bad)
+    else:
+        ent[i, j] = bad
+    with pytest.raises(ValueError):
+        Frame(field=field, entries=ent)
