@@ -21,6 +21,7 @@ import argparse
 import csv
 import itertools
 import json
+import math
 import os
 import sys
 from contextlib import nullcontext
@@ -89,12 +90,11 @@ _floats = _list_of(float)
 _ints = _list_of(int)
 
 
-def _orders(ds, what: str, lo: int = 2, hi: int | None = 4) -> list:
-    """ds sorted, after checking that every order lies in lo..hi (hi=None: no upper limit)."""
-    if any(d < lo or (hi is not None and d > hi) for d in ds):
-        limit = f">= {lo}" if hi is None else f"in {lo}..{hi}"
-        raise ValueError(f"{what} orders must be {limit}")
-    return sorted(ds)
+def _sorted_within(vals, what: str, lo, hi) -> list:
+    """vals sorted, after checking that every value lies in lo..hi (NaN never does)."""
+    if not all(lo <= v <= hi for v in vals):
+        raise ValueError(f"{what} must be in {lo}..{hi}")
+    return sorted(vals)
 
 
 def _resolve_seed(args) -> int:
@@ -215,8 +215,9 @@ def cmd_construct(args) -> int:
 
 def cmd_moments(args) -> int:
     frame = load_frame(args.frame)
-    ps = sorted(args.p)
-    ds = _orders(args.d, f"method {args.method}", 1, 4 if args.method == "poly" else None)
+    ps = _sorted_within(args.p, "keep probabilities", 0.0, 1.0)
+    hi = 4 if args.method == "poly" else math.inf
+    ds = _sorted_within(args.d, f"method {args.method} orders", 1, hi)
     if args.method == "brute" and frame.n > BRUTEFORCE_MAX_N:
         raise ValueError(
             f"brute force enumerates 2^n patterns and needs n <= {BRUTEFORCE_MAX_N}; this frame has n={frame.n}"
@@ -232,8 +233,6 @@ def cmd_moments(args) -> int:
     if args.method == "poly":
         polys = {d: moment_polynomial(frame, d) for d in ds}
         for p in ps:
-            if not 0.0 <= p <= 1.0:
-                raise ValueError(f"keep probability must be in [0, 1], got {p}")
             for d in ds:
                 rows.append((p, d, polys[d].evaluate(p), ""))
     elif args.method == "brute":
@@ -264,9 +263,10 @@ def cmd_moments(args) -> int:
 
 def cmd_bound(args) -> int:
     frame = load_frame(args.frame)
-    ds = _orders(args.d, "bound")
+    ds = _sorted_within(args.d, "bound orders", 2, 4)
+    ps = _sorted_within(args.p, "keep probabilities", 0.0, 1.0)
     man = _manifest(args)
-    reports = [check_theorem(frame, p, d, tol=args.tol) for p in sorted(args.p) for d in ds]
+    reports = [check_theorem(frame, p, d, tol=args.tol) for p in ps for d in ds]
     obj = {
         "manifest": man,
         "frame": {
@@ -356,7 +356,8 @@ def _sweep_frames(args, seed: int):
 
 
 def cmd_sweep(args) -> int:
-    ds = _orders(args.d, "sweep")
+    ds = _sorted_within(args.d, "sweep orders", 2, 4)
+    ps = _sorted_within(args.p, "keep probabilities", 0.0, 1.0)
     seed = _resolve_seed(args)
     man = _manifest(args, seed=seed)
 
@@ -364,7 +365,7 @@ def cmd_sweep(args) -> int:
     rows = []
     counter = 0
     for frame_seed, frame in _sweep_frames(args, seed):
-        for p in sorted(args.p):
+        for p in ps:
             ks = ""
             err_ks = ""
             if args.trials:

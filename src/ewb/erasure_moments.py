@@ -15,6 +15,11 @@ Three routes to m_d are provided: the exact polynomial, an exhaustive
 2^n-pattern oracle (n <= 24), and a seeded Monte Carlo estimator.  Oracle
 weights p^|S| stay above double-precision underflow for p >= 1e-9 at
 n <= 24, so no log-space arithmetic is used.
+
+The oracle, the Monte Carlo route and spectral.subset_spectrum_samples never
+form a kept-column Gram submatrix G_S: its nonzero spectrum is that of the
+m-by-m erased frame operator F D_S F', which erased_operators builds for
+blocks of keep masks sized by the byte budget OPERATOR_BLOCK_BYTES.
 """
 
 from __future__ import annotations
@@ -24,10 +29,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .frames import Frame, gram, trace_powers
+from .frames import Frame, gram, trace_powers  # noqa: F401 (bench/tracing.py wraps gram)
 from .rng import keep_masks
 
 BRUTEFORCE_MAX_N = 24
+
+# Bytes of one erased_operators block: B x n float masks plus B x m x m operators
+OPERATOR_BLOCK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -76,7 +84,7 @@ def trace_moment(frame: Frame, d: int) -> float:
     inv = frame.invariants
     if d <= len(inv.traces):
         return inv.traces[d - 1]
-    return trace_powers(inv.ffh, frame.n, d)[-1]
+    return float(trace_powers(inv.ffh, frame.n, d)[-1])
 
 
 def moment_polynomial(frame: Frame, d: int) -> MomentPolynomial:
@@ -113,21 +121,30 @@ def expected_moment(frame: Frame, p: float, d: int) -> float:
     return moment_polynomial(frame, d).evaluate(p)
 
 
-def _masked_trace_powers(g, masks, d_max):
-    """(1/n) tr((G_S)^d) per mask row, d = 1..d_max, as a (d_max, B) array.
+def erased_operators(frame: Frame, masks: np.ndarray):
+    """Yield B x m x m stacks S[b] = F diag(mask_b) F' for consecutive blocks of
+    the (trials, n) 0/1 mask rows: one GEMM of the masks onto the n rank-one
+    products f_k f_k', B as large as OPERATOR_BLOCK_BYTES allows (at least 1).
 
-    Uses trace((D G D)^d) = trace((G D)^d) for the 0/1 diagonal D, so erased
-    columns are zeroed in place of building per-subset submatrices.
+    tr(S[b]^d) = tr(G_S^d), and the top min(|S|, m) eigenvalues of S[b] are
+    those of the kept-column Gram submatrix G_S.
     """
-    n = g.shape[0]
-    b = g[None, :, :] * masks[:, None, :]
-    out = np.empty((d_max, masks.shape[0]))
-    out[0] = np.einsum("bii->b", b).real
-    cur = b
-    for d in range(2, d_max + 1):
-        cur = cur @ b
-        out[d - 1] = np.einsum("bii->b", cur).real
-    return out / n
+    f = frame.entries
+    m, n = f.shape
+    outer = (f.T[:, :, None] * f.T.conj()[:, None, :]).reshape(n, m * m)
+    # complex entries are read as (re, im) float pairs, so the masks stay
+    # real and the product is one real GEMM of twice the width
+    outer = np.ascontiguousarray(outer).view(np.float64)
+    rows = max(1, OPERATOR_BLOCK_BYTES // (8 * n + f.itemsize * m * m))
+    for start in range(0, masks.shape[0], rows):
+        block = masks[start : start + rows].astype(np.float64) @ outer
+        yield block.view(f.dtype).reshape(-1, m, m)
+
+
+def _erased_trace_powers(frame: Frame, masks: np.ndarray, d_max: int) -> np.ndarray:
+    """(1/n) tr(G_S^d) per mask row, d = 1..d_max, as a (d_max, trials) array."""
+    blocks = [trace_powers(ops, frame.n, d_max) for ops in erased_operators(frame, masks)]
+    return np.concatenate(blocks, axis=1)
 
 
 @dataclass(frozen=True)
@@ -166,14 +183,13 @@ def bruteforce_table(frame: Frame, d_max: int = 4, chunk: int = 8192) -> Brutefo
         raise ValueError(f"brute force needs n <= {BRUTEFORCE_MAX_N}, got n={n}")
     if d_max < 1:
         raise ValueError("moment order must be a positive integer")
-    g = gram(frame).entries
     partial = [[[] for _ in range(d_max)] for _ in range(n + 1)]
     bits = np.arange(n, dtype=np.int64)
     total = 1 << n
     for start in range(0, total, chunk):
         idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
         masks = ((idx[:, None] >> bits[None, :]) & 1).astype(bool)
-        vals = _masked_trace_powers(g, masks, d_max)
+        vals = _erased_trace_powers(frame, masks, d_max)
         ks = masks.sum(axis=1)
         for k in np.unique(ks):
             sel = ks == k
@@ -194,23 +210,18 @@ def bruteforce_moment(frame: Frame, p: float, d: int) -> float:
     return bruteforce_table(frame, d_max=d).moment(p, d)
 
 
-def montecarlo_moment(
-    frame: Frame, model: ErasureModel, d: int, trials: int, chunk: int = 2048
-) -> MomentEstimate:
+def montecarlo_moment(frame: Frame, model: ErasureModel, d: int, trials: int) -> MomentEstimate:
     """Sample keep patterns i.i.d. Bernoulli(p) and average (1/n) tr((G_S)^d).
 
     Deterministic given (model.seed, trials); trial t's pattern depends only
-    on the seed and t (counter-derived), never on chunking or schedule.
+    on the seed and t (counter-derived), never on blocking or schedule.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if d < 1:
         raise ValueError("moment order must be a positive integer")
-    g = gram(frame).entries
     masks = keep_masks(model.seed, trials, frame.n, model.p)
-    vals = np.empty(trials)
-    for s in range(0, trials, chunk):
-        vals[s : s + chunk] = _masked_trace_powers(g, masks[s : s + chunk], d)[d - 1]
+    vals = _erased_trace_powers(frame, masks, d)[-1]
     stderr = float(vals.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
     return MomentEstimate(value=float(vals.mean()), stderr=stderr, trials=trials)
 

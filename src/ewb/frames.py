@@ -115,12 +115,14 @@ def welch_floor(m: int, n: int) -> float:
     return (n - m) / ((n - 1) * m)
 
 
-def trace_powers(a: np.ndarray, n: int, d_max: int) -> list:
-    """[(1/n) tr(a^d) for d = 1..d_max] by the chain cur = cur @ a."""
-    powers = [a]
+def trace_powers(a: np.ndarray, n: int, d_max: int) -> np.ndarray:
+    """(1/n) tr(a^d) for d = 1..d_max by the chain cur = cur @ a: shape
+    (d_max,) for one square matrix, (d_max, B) for a B x m x m stack."""
+    out, cur = [np.trace(a, axis1=-2, axis2=-1).real], a
     for _ in range(d_max - 1):
-        powers.append(powers[-1] @ a)
-    return [float(np.trace(cur).real) / n for cur in powers]
+        cur = cur @ a
+        out.append(np.trace(cur, axis1=-2, axis2=-1).real)
+    return np.array(out) / n
 
 
 @dataclass(frozen=True)
@@ -157,7 +159,7 @@ def frame_invariants(frame: Frame) -> FrameInvariants:
     return FrameInvariants(
         gram=GramMatrix(n=n, entries=g),
         ffh=ffh,
-        traces=tuple(trace_powers(ffh, n, 4)),
+        traces=tuple(trace_powers(ffh, n, 4).tolist()),
         a22=float(sq.sum()) / n,
         s4=float((sq**2).sum()) / n,
         q=float((sq.sum(axis=1) ** 2).sum()) / n,

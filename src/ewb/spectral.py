@@ -1,11 +1,13 @@
 """Empirical spectra of erased subframes and comparison to the MANOVA law.
 
 Each trial keeps a Bernoulli(p) subset S of columns and takes the
-eigenvalues of the |S|-by-|S| Gram submatrix G_S.  Since rank(G_S) <= m,
-only the top min(|S|, m) eigenvalues carry mass; pooling exactly those
-matches the min(p, gamma) normalization of the MANOVA law while keeping
-sums of d-th powers equal to the full-trace moments (structural zeros from
-erased columns never enter the pool).
+eigenvalues of the |S|-by-|S| Gram submatrix G_S, read off the m-by-m erased
+frame operator F D_S F' with one checked, batched eigen-solve per block of
+erasure_moments.erased_operators.  Since rank(G_S) <= m, only the top
+min(|S|, m) eigenvalues carry mass; pooling exactly those matches the
+min(p, gamma) normalization of the MANOVA law while keeping sums of d-th
+powers equal to the full-trace moments (structural zeros from erased columns
+never enter the pool).
 """
 
 from __future__ import annotations
@@ -14,14 +16,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .erasure_moments import ErasureModel
-from .frames import Frame, gram
-from .manova import ManovaParams, cdf_many, support
+from .erasure_moments import ErasureModel, erased_operators
+from .frames import Frame, gram  # noqa: F401 (bench/tracing.py wraps gram)
+from .manova import _DEGENERATE_WIDTH, ManovaParams, cdf_many, support
 from .rng import keep_masks
 
 _HERMITIAN_TOL = 1e-10
 _PSD_CLAMP = 1e-9
 _CHECK_RTOL = 1e-8
+_JUMP_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -30,6 +33,29 @@ class Spectrum:
 
     values: np.ndarray
     source_dims: tuple
+
+
+def _checked_eigvalsh(stack: np.ndarray, psd: bool) -> np.ndarray:
+    """Eigenvalues of each matrix of a nonempty B x k x k stack, each row
+    nonincreasing, after the checks that hermitian_eigenvalues documents."""
+    mag = np.abs(stack)
+    scale = np.maximum(1.0, mag.max(axis=(1, 2)))
+    skew = np.abs(stack - stack.conj().swapaxes(1, 2)).max(axis=(1, 2))
+    if np.any(skew > _HERMITIAN_TOL * scale):
+        raise ValueError("matrix is not Hermitian within tolerance")
+    vals = np.linalg.eigvalsh(stack)[:, ::-1]
+    tr = np.trace(stack, axis1=1, axis2=2).real
+    fro2 = (mag**2).sum(axis=(1, 2))
+    if np.any(np.abs(vals.sum(axis=1) - tr) > _CHECK_RTOL * np.maximum(1.0, np.abs(tr))):
+        raise ValueError("eigenvalue sum disagrees with trace")
+    if np.any(np.abs((vals**2).sum(axis=1) - fro2) > _CHECK_RTOL * np.maximum(1.0, fro2)):
+        raise ValueError("eigenvalue square sum disagrees with Frobenius norm")
+    if psd:
+        low = float(vals[:, -1].min())
+        if low < -_PSD_CLAMP:
+            raise ValueError(f"matrix is not positive semidefinite (min eigenvalue {low:.3e})")
+        np.clip(vals, 0.0, None, out=vals)
+    return vals
 
 
 def hermitian_eigenvalues(a, psd: bool = False) -> Spectrum:
@@ -46,39 +72,31 @@ def hermitian_eigenvalues(a, psd: bool = False) -> Spectrum:
         raise ValueError("square matrix required")
     if a.shape[0] == 0:
         return Spectrum(values=np.zeros(0), source_dims=(0, 0))
-    scale = max(1.0, float(np.max(np.abs(a))))
-    if float(np.max(np.abs(a - a.conj().T))) > _HERMITIAN_TOL * scale:
-        raise ValueError("matrix is not Hermitian within tolerance")
-    vals = np.linalg.eigvalsh(a)[::-1].copy()
-    tr = float(np.trace(a).real)
-    fro2 = float(np.sum(np.abs(a) ** 2))
-    if abs(float(vals.sum()) - tr) > _CHECK_RTOL * max(1.0, abs(tr)):
-        raise ValueError("eigenvalue sum disagrees with trace")
-    if abs(float((vals**2).sum()) - fro2) > _CHECK_RTOL * max(1.0, fro2):
-        raise ValueError("eigenvalue square sum disagrees with Frobenius norm")
-    if psd:
-        low = float(vals[-1])
-        if low < -_PSD_CLAMP:
-            raise ValueError(f"matrix is not positive semidefinite (min eigenvalue {low:.3e})")
-        np.clip(vals, 0.0, None, out=vals)
+    vals = _checked_eigvalsh(a[None], psd)[0]
     vals.setflags(write=False)
     return Spectrum(values=vals, source_dims=a.shape)
 
 
 def subset_spectrum_samples(frame: Frame, model: ErasureModel, trials: int) -> list:
-    """One Spectrum of the kept-column Gram submatrix per trial.
+    """One Spectrum of the kept-column Gram submatrix per trial: the top
+    min(|S|, m) eigenvalues, checked as by hermitian_eigenvalues(psd=True),
+    then the structural zeros.
 
     Deterministic per (model.seed, trial index); empty subsets yield empty
     spectra, recorded rather than skipped.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    g = gram(frame).entries
     masks = keep_masks(model.seed, trials, frame.n, model.p)
+    tops = np.concatenate(
+        [_checked_eigvalsh(ops, psd=True) for ops in erased_operators(frame, masks)]
+    )
     out = []
-    for row in masks:
-        idx = np.flatnonzero(row)
-        out.append(hermitian_eigenvalues(g[np.ix_(idx, idx)], psd=True))
+    for k, top in zip(masks.sum(axis=1).tolist(), tops):
+        vals = np.zeros(k)
+        vals[: min(k, frame.m)] = top[:k]
+        vals.setflags(write=False)
+        out.append(Spectrum(values=vals, source_dims=(k, k)))
     return out
 
 
@@ -99,11 +117,17 @@ def ks_distance(pooled, params: ManovaParams) -> float:
     The reference law may carry an atom at 1/gamma, so the supremum is also
     evaluated from the left at the atom location.
     """
-    xs = np.sort(np.asarray(pooled, dtype=float).reshape(-1))
+    xs = np.array(pooled, dtype=float).reshape(-1)
     nq = xs.size
     if nq == 0:
         raise ValueError("empty eigenvalue pool")
     sup = support(params)
+    # a value within round-off of a jump of the law (the atom, and r- when
+    # the bulk collapses to a point) sits on it
+    degenerate = params.p >= 1.0 or sup.r_plus - sup.r_minus <= _DEGENERATE_WIDTH
+    for jump in [sup.atom_location] + [sup.r_minus] * degenerate:
+        xs[np.abs(xs - jump) <= _JUMP_RTOL * np.maximum(1.0, np.abs(xs))] = jump
+    xs.sort()
     # Both CDFs are monotone step/continuous mixtures, so the supremum is
     # attained at (a one-sided limit of) a jump point of either: the sample
     # values, the law's atom, and its degenerate-bulk step locations.

@@ -263,6 +263,15 @@ def test_sweep_rejects_bad_order_before_any_row(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("p", ["nan", "1.5", "-0.1", "0.5,inf"])
+def test_sweep_rejects_bad_probability_before_any_row(tmp_path, capsys, p):
+    out = tmp_path / "s.csv"
+    assert main(["sweep", "--family", "simplex", "--m", "3", "--p", p, "--d", "2",
+                 "--trials", "10", "--out", str(out)]) == 2
+    assert not out.exists()
+    assert "keep probabilities must be in" in capsys.readouterr().err
+
+
 def test_invariants_built_once_per_frame(etf_file, tmp_path, monkeypatch):
     built = []
     build = frames.frame_invariants

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import ewb
+from ewb import erasure_moments
 from ewb import (
     ErasureModel,
     Frame,
@@ -13,6 +14,7 @@ from ewb import (
     expected_moment,
     gram,
     harmonic_etf,
+    keep_masks,
     moment_polynomial,
     montecarlo_moment,
     random_frame,
@@ -176,11 +178,14 @@ def test_montecarlo_matches_oracle(mercedes_benz):
     assert abs(est.value - 0.625) <= 3.0 * est.stderr
 
 
-def test_montecarlo_deterministic_and_chunk_invariant(mercedes_benz):
+def test_montecarlo_deterministic_and_chunk_invariant(mercedes_benz, monkeypatch):
     a = montecarlo_moment(mercedes_benz, ErasureModel(p=0.4, seed=9), 4, trials=500)
     b = montecarlo_moment(mercedes_benz, ErasureModel(p=0.4, seed=9), 4, trials=500)
     assert (a.value, a.stderr) == (b.value, b.stderr)
-    c = montecarlo_moment(mercedes_benz, ErasureModel(p=0.4, seed=9), 4, trials=500, chunk=17)
+    # a budget of 17 rows per operator block: 8n mask bytes plus m^2 float64 per row
+    monkeypatch.setattr(erasure_moments, "OPERATOR_BLOCK_BYTES", 17 * (8 * 3 + 8 * 4))
+    assert sum(1 for _ in erasure_moments.erased_operators(mercedes_benz, np.ones((500, 3)))) == 30
+    c = montecarlo_moment(mercedes_benz, ErasureModel(p=0.4, seed=9), 4, trials=500)
     assert_allclose([a.value, a.stderr], [c.value, c.stderr], rtol=1e-12, atol=0)
 
 
@@ -226,3 +231,70 @@ def test_property_jensen_pair_inequalities(m, extra, seed):
     q = (sq.sum(axis=1) ** 2).sum() / n
     assert s4 >= a22**2 / (n - 1) - 1e-12
     assert q >= a22**2 - 1e-12
+
+
+def literal_trace_powers(frame, masks, d_max):
+    """(1/n) tr(G_S^d) per mask row from the kept-column Gram submatrix itself."""
+    g = gram(frame).entries
+    out = np.zeros((d_max, len(masks)))
+    for t, row in enumerate(masks):
+        idx = np.flatnonzero(row)
+        sub = g[np.ix_(idx, idx)]
+        cur = np.eye(idx.size)
+        for d in range(d_max):
+            cur = cur @ sub
+            out[d, t] = np.trace(cur).real / frame.n
+    return out
+
+
+# real and complex, m < n and m = n; keep probabilities 0 and 1 included
+EQUIVALENCE_FRAMES = [
+    random_frame(3, 7, "real", seed=1),
+    random_frame(4, 9, "complex", seed=2),
+    random_frame(5, 5, "real", seed=3),
+    random_frame(4, 4, "complex", seed=4),
+]
+
+
+def fixed_masks(frame):
+    """Keep nothing, one vector, m - 1 vectors (|S| < m) and everything."""
+    rows = np.zeros((4, frame.n), dtype=bool)
+    rows[1, 0] = True
+    rows[2, : frame.m - 1] = True
+    rows[3] = True
+    return rows
+
+
+@pytest.mark.parametrize("frame", EQUIVALENCE_FRAMES, ids=lambda f: f"{f.field}{f.m}x{f.n}")
+@pytest.mark.parametrize("p", [0.0, 0.2, 0.6, 1.0])
+def test_erased_trace_powers_match_gram_submatrices(frame, p):
+    masks = np.vstack([keep_masks(5, 200, frame.n, p), fixed_masks(frame)])
+    got = erasure_moments._erased_trace_powers(frame, masks, 6)
+    want = literal_trace_powers(frame, masks, 6)
+    assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
+
+
+def test_operator_blocks_fit_the_byte_budget(monkeypatch):
+    # n = 256, complex, 4096 trials: every block the Monte Carlo route asks
+    # for fits the budget, whatever n and the trial count
+    f = random_frame(8, 256, "complex", seed=7)
+    masks = keep_masks(3, 4096, f.n, 0.5)
+    budget = erasure_moments.OPERATOR_BLOCK_BYTES
+    blocks = []
+    kernel = erasure_moments.erased_operators
+
+    def recording(frame, rows):
+        for ops in kernel(frame, rows):
+            blocks.append(ops.shape)
+            yield ops
+
+    monkeypatch.setattr(erasure_moments, "erased_operators", recording)
+    montecarlo_moment(f, ErasureModel(p=0.5, seed=3), 2, trials=4096)
+    assert sum(b for b, _, _ in blocks) == 4096 and len(blocks) > 1
+    for b, m1, m2 in blocks:
+        assert (m1, m2) == (8, 8)
+        assert b * (8 * f.n + 16 * 8 * 8) <= budget
+    # rows come back in order: spot-check the last operator of the last block
+    last = list(kernel(f, masks))[-1][-1]
+    kept = f.entries[:, masks[-1]]
+    assert_allclose(last, kept @ kept.conj().T, rtol=0, atol=1e-12)

@@ -11,10 +11,12 @@ from ewb import (
     gram,
     harmonic_etf,
     hermitian_eigenvalues,
+    keep_masks,
     ks_distance,
     montecarlo_moment,
     pool_eigenvalues,
     quantile_many,
+    random_frame,
     simplex_etf,
     subset_spectrum_samples,
     support,
@@ -204,3 +206,53 @@ def test_ks_distance_empty_pool_raises():
 def test_ks_distance_capped_at_one():
     params = ManovaParams(gamma=0.5, p=0.5)
     assert ks_distance(np.full(100, 1e6), params) == 1.0
+
+
+@pytest.mark.parametrize(
+    "frame",
+    [
+        random_frame(3, 7, "real", seed=1),
+        random_frame(4, 9, "complex", seed=2),
+        random_frame(5, 5, "real", seed=3),
+        random_frame(4, 4, "complex", seed=4),
+    ],
+    ids=lambda f: f"{f.field}{f.m}x{f.n}",
+)
+@pytest.mark.parametrize("p", [0.0, 0.3, 0.8, 1.0])
+def test_subset_spectra_match_gram_submatrices(frame, p):
+    # literal route: eigenvalues of G[ix_(S, S)] for the same masks
+    model = ErasureModel(p=p, seed=6)
+    masks = keep_masks(model.seed, 150, frame.n, p)
+    g = gram(frame).entries
+    specs = subset_spectrum_samples(frame, model, 150)
+    for row, spec in zip(masks, specs):
+        idx = np.flatnonzero(row)
+        want = hermitian_eigenvalues(g[np.ix_(idx, idx)], psd=True)
+        assert spec.source_dims == want.source_dims == (idx.size, idx.size)
+        assert_allclose(spec.values, want.values, rtol=0, atol=1e-12)
+        assert not spec.values.flags.writeable
+        assert np.all(spec.values[frame.m :] == 0.0)  # structural zeros are exact
+
+
+@pytest.mark.parametrize("p", [0.3, 0.5, 0.9])
+def test_ks_distance_orthonormal_basis_round_off_at_atom(p):
+    # a rotated orthonormal basis at gamma = 1: every pooled eigenvalue is 1
+    # up to round-off, and the law is a unit mass at 1
+    q, _ = np.linalg.qr(np.random.default_rng(8).standard_normal((8, 8)))
+    f = Frame(field="real", entries=q)
+    pooled = pool_eigenvalues(subset_spectrum_samples(f, ErasureModel(p=p, seed=2), 300), 8)
+    assert np.max(np.abs(pooled - 1.0)) <= 1e-14
+    assert ks_distance(pooled, ManovaParams(gamma=1.0, p=p)) <= 1e-12
+
+
+def test_ks_distance_values_within_round_off_of_the_atom():
+    # half bulk, half atom: moving the atom samples by one ulp either way
+    # must not move the distance
+    params = ManovaParams(gamma=0.6, p=0.7)
+    atom = support(params).atom_location
+    pooled = quantile_many((np.arange(400) + 0.5) / 400, params)
+    exact = ks_distance(pooled, params)
+    for direction in (0.0, np.inf):
+        nudged = np.where(pooled == atom, np.nextafter(atom, direction), pooled)
+        assert (nudged != pooled).sum() > 100
+        assert ks_distance(nudged, params) == exact
