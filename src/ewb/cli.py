@@ -26,7 +26,6 @@ import os
 import sys
 from contextlib import nullcontext
 from datetime import datetime, timezone
-from pathlib import Path
 
 import numpy as np
 
@@ -46,9 +45,9 @@ from .frames import (
     harmonic_etf,
     is_etf,
     is_utf,
-    load_frame,
     nearest_utf,
     random_frame,
+    read_frame,
     repeated_onb,
     save_frame,
     simplex_etf,
@@ -139,12 +138,13 @@ def _out_stream(path):
     return nullcontext(sys.stdout)
 
 
-def _load_frame_meta(path) -> dict:
-    try:
-        meta = json.loads(Path(path).read_text()).get("construction")
-    except (OSError, ValueError):
-        return {}
-    return meta if isinstance(meta, dict) else {}
+def load_frame(path) -> tuple[Frame, dict]:
+    """The frame in a frame file and its construction record ({} when the file
+    has none), from one parse.  Every command reads frames through this name,
+    which bench/tracing.py wraps."""
+    frame, extra = read_frame(path)
+    meta = extra.get("construction")
+    return frame, meta if isinstance(meta, dict) else {}
 
 
 # ---------------------------------------------------------------------------
@@ -153,7 +153,7 @@ def _load_frame_meta(path) -> dict:
 
 
 def _nearest_utf(a) -> Frame:
-    result = nearest_utf(load_frame(a.frame), max_iters=a.max_iters, tol=a.tol)
+    result = nearest_utf(load_frame(a.frame)[0], max_iters=a.max_iters, tol=a.tol)
     a.source, a.residual = a.frame, result.residual
     a.iterations, a.converged = result.iterations, result.converged
     if not result.converged:
@@ -214,7 +214,7 @@ def cmd_construct(args) -> int:
 
 
 def cmd_moments(args) -> int:
-    frame = load_frame(args.frame)
+    frame, _ = load_frame(args.frame)
     ps = _sorted_within(args.p, "keep probabilities", 0.0, 1.0)
     hi = 4 if args.method == "poly" else math.inf
     ds = _sorted_within(args.d, f"method {args.method} orders", 1, hi)
@@ -262,7 +262,7 @@ def cmd_moments(args) -> int:
 
 
 def cmd_bound(args) -> int:
-    frame = load_frame(args.frame)
+    frame, construction = load_frame(args.frame)
     ds = _sorted_within(args.d, "bound orders", 2, 4)
     ps = _sorted_within(args.p, "keep probabilities", 0.0, 1.0)
     man = _manifest(args)
@@ -274,7 +274,7 @@ def cmd_bound(args) -> int:
             "m": frame.m,
             "n": frame.n,
             "field": frame.field,
-            "construction": _load_frame_meta(args.frame),
+            "construction": construction,
         },
         "reports": [r.to_dict() for r in reports],
     }

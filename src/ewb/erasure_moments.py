@@ -34,8 +34,11 @@ from .rng import keep_masks
 
 BRUTEFORCE_MAX_N = 24
 
-# Bytes of one erased_operators block: B x n float masks plus B x m x m operators
-OPERATOR_BLOCK_BYTES = 1 << 20
+# Bytes of one erased_operators block: B x n float masks plus B x m x m operators.
+# At 128 KiB every per-block temporary stays below glibc's default mmap
+# threshold, so blocks reuse heap memory instead of mapping fresh pages
+# that the kernel must fault in and zero for each block.
+OPERATOR_BLOCK_BYTES = 1 << 17
 
 
 @dataclass(frozen=True)

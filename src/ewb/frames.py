@@ -314,10 +314,9 @@ def nearest_utf(frame: Frame, max_iters: int = 500, tol: float = 1e-9) -> Neares
         raise ValueError("need max_iters >= 1 and tol > 0")
     m, n = frame.m, frame.n
     ent = np.array(frame.entries)
-    residual = frame.invariants.utf_residual
+    cov, residual = frame.invariants.ffh, frame.invariants.utf_residual
     iters = 0
     while residual > tol and iters < max_iters:
-        cov = ent @ ent.conj().T
         w, u = np.linalg.eigh(cov)
         if w[0] <= 1e-12 * w[-1]:
             raise ValueError("frame does not span R^m / C^m; tight projection undefined")
@@ -325,57 +324,91 @@ def nearest_utf(frame: Frame, max_iters: int = 500, tol: float = 1e-9) -> Neares
         ent = np.sqrt(n / m) * (inv_sqrt @ ent)
         ent = _normalize_columns(ent)
         iters += 1
-        residual = float(np.linalg.norm(ent @ ent.conj().T - (n / m) * np.eye(m)))
+        cov = ent @ ent.conj().T
+        residual = float(np.linalg.norm(cov - (n / m) * np.eye(m)))
     out = Frame(field=frame.field, entries=ent)
     return NearestUtfResult(frame=out, residual=residual, iterations=iters, converged=residual <= tol)
 
 
 # ---------------------------------------------------------------------------
 # File format.  JSON: {"field": "real"|"complex", "m": .., "n": .., "data":
-# row-major rows, complex entries as [re, im]}.  json round-trips float64
-# exactly (shortest repr), so saved frames reload bit-identically.  CSV is
-# accepted for real frames only (m rows by n columns).
+# row-major rows, complex entries as [re, im], then the extra keys}, laid out
+# byte for byte as json.dumps(obj, indent=1) + "\n".  Floats are written with
+# float.__repr__ (shortest round-trip), so saved frames reload bit-identically,
+# signed zeros included.  CSV is accepted for real frames only (m rows by n
+# columns).
 # ---------------------------------------------------------------------------
 
-
-def frame_to_json_obj(frame: Frame, extra: dict | None = None) -> dict:
-    if frame.field == REAL:
-        data = [[float(v) for v in row] for row in frame.entries]
-    else:
-        data = [[[float(v.real), float(v.imag)] for v in row] for row in frame.entries]
-    obj = {"field": frame.field, "m": frame.m, "n": frame.n, "data": data}
-    if extra:
-        obj.update(extra)
-    return obj
+_FRAME_KEYS = ("field", "m", "n", "data")
 
 
-def frame_from_json_obj(obj: dict) -> Frame:
-    field = obj["field"]
-    m, n = int(obj["m"]), int(obj["n"])
-    data = obj["data"]
-    if len(data) != m or any(len(row) != n for row in data):
-        raise ValueError("data shape does not match declared (m, n)")
-    if field == REAL:
-        ent = np.array(data, dtype=np.float64)
-    elif field == COMPLEX:
+def frame_from_json_obj(obj) -> Frame:
+    if not isinstance(obj, dict):
+        raise ValueError("frame JSON must be an object")
+    field, data = obj["field"], obj["data"]
+    if not isinstance(data, list) or not all(isinstance(row, list) for row in data):
+        raise ValueError("frame data must be a list of rows")
+    try:
+        m, n = int(obj["m"]), int(obj["n"])
+        if len(data) != m or any(len(row) != n for row in data):
+            raise ValueError("data shape does not match declared (m, n)")
         raw = np.array(data, dtype=np.float64)
+    except TypeError as exc:
+        raise ValueError(f"frame m, n and entries must be numbers ({exc})") from None
+    if field == REAL:
+        ent = raw
+    elif field == COMPLEX:
         if raw.shape != (m, n, 2):
             raise ValueError("complex data entries must be [re, im] pairs")
-        ent = raw[..., 0] + 1j * raw[..., 1]
+        # reinterpret each (re, im) pair in place: re + 1j*im would turn a
+        # -0.0 real part into +0.0
+        ent = raw.view(np.complex128)[..., 0]
     else:
         raise ValueError(f"unknown field {field!r}")
     return Frame(field=field, entries=ent)
 
 
 def save_frame(frame: Frame, path: str | Path, extra: dict | None = None) -> None:
-    obj = frame_to_json_obj(frame, extra=extra)
-    Path(path).write_text(json.dumps(obj, indent=1) + "\n")
+    """Write frame (and the top-level keys of extra after it) as frame JSON.
+
+    The bytes equal json.dumps({"field", "m", "n", "data", **extra},
+    indent=1) + "\n"; the data array is streamed one row at a time, so no
+    text or nested list of the whole frame is held in memory.
+    """
+    extra = extra or {}
+    if any(k in extra for k in _FRAME_KEYS):
+        raise ValueError(f"extra keys must not replace the frame keys {_FRAME_KEYS}")
+    # json lays out everything but the data array; "data": null marks its
+    # place, and at one space of indent it cannot match a nested key
+    marker = '\n "data": null'
+    head, tail = json.dumps(
+        {"field": frame.field, "m": frame.m, "n": frame.n, "data": None, **extra}, indent=1
+    ).split(marker)
+    if frame.field == REAL:
+        rows, cell = frame.entries, "{}"
+    else:
+        rows, cell = frame.entries.view(np.float64), "[\n    {},\n    {}\n   ]"
+    row_text = "[\n   " + ",\n   ".join([cell] * frame.n) + "\n  ]"
+    with open(path, "w") as fh:
+        fh.write(head + '\n "data": [')
+        for i, row in enumerate(rows):
+            text = row_text.format(*map(float.__repr__, row.tolist()))
+            fh.write((",\n  " if i else "\n  ") + text)
+        fh.write("\n ]" + tail + "\n")
 
 
-def load_frame(path: str | Path) -> Frame:
+def read_frame(path: str | Path) -> tuple[Frame, dict]:
+    """One parse of a frame file: the frame and the file's other top-level
+    keys (none for CSV)."""
     path = Path(path)
     if path.suffix.lower() == ".csv":
         with open(path, newline="") as fh:
             rows = [[float(v) for v in row] for row in csv.reader(fh) if row]
-        return Frame(field=REAL, entries=np.array(rows, dtype=np.float64))
-    return frame_from_json_obj(json.loads(path.read_text()))
+        return Frame(field=REAL, entries=np.array(rows, dtype=np.float64)), {}
+    obj = json.loads(path.read_text())
+    frame = frame_from_json_obj(obj)
+    return frame, {k: v for k, v in obj.items() if k not in _FRAME_KEYS}
+
+
+def load_frame(path: str | Path) -> Frame:
+    return read_frame(path)[0]

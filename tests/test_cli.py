@@ -2,6 +2,7 @@ import csv
 import gc
 import json
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -182,6 +183,49 @@ def test_bound_closes_frame_files(etf_file, tmp_path):
                      "--out", str(tmp_path / "b.json")]) == 0
         gc.collect()
     assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+
+
+@pytest.mark.parametrize("command", [["bound", "--d", "2"], ["moments", "--d", "1"]])
+@pytest.mark.parametrize("obj", [
+    {"field": "real", "m": 2, "n": 2, "data": 5},
+    {"field": "real", "m": 1, "n": 1, "data": [5]},
+    [1, 2],
+])
+def test_malformed_frame_json_is_validation_error(tmp_path, capsys, command, obj):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(obj))
+    assert main(command + ["--frame", str(bad), "--p", "0.5"]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_bound_reads_and_decodes_frame_file_once(etf_file, tmp_path, monkeypatch):
+    reads, decodes = [], []
+    read_text, loads = Path.read_text, json.loads
+
+    def counting_read_text(self, *args, **kwargs):
+        reads.append(str(self))
+        return read_text(self, *args, **kwargs)
+
+    def counting_loads(text, *args, **kwargs):
+        decodes.append(len(text))
+        return loads(text, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "read_text", counting_read_text)
+    monkeypatch.setattr(json, "loads", counting_loads)
+    out = tmp_path / "b.json"
+    assert main(["bound", "--frame", etf_file, "--p", "0.5", "--d", "2", "--out", str(out)]) == 0
+    monkeypatch.undo()
+    assert reads == [etf_file]
+    assert len(decodes) == 1
+    assert json.loads(out.read_text())["frame"]["construction"]["kind"] == "simplex"
+
+
+def test_bound_on_csv_frame_has_empty_construction(tmp_path):
+    src = tmp_path / "f.csv"
+    np.savetxt(src, frames.simplex_etf(2).entries, delimiter=",", fmt="%.17g")
+    out = tmp_path / "b.json"
+    assert main(["bound", "--frame", str(src), "--p", "0.5", "--d", "2", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["frame"]["construction"] == {}
 
 
 def test_bound_rejects_bad_order(etf_file):

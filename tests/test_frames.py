@@ -2,7 +2,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -261,6 +261,75 @@ def test_load_rejects_malformed(tmp_path):
     path.write_text(json.dumps({"field": "octonion", "m": 1, "n": 1, "data": [[1.0]]}))
     with pytest.raises(ValueError):
         load_frame(path)
+
+
+@pytest.mark.parametrize("obj", [
+    [1, 2],
+    {"field": "real", "m": 2, "n": 2, "data": 5},
+    {"field": "real", "m": 1, "n": 1, "data": [5]},
+    {"field": "real", "m": None, "n": 1, "data": [[1.0]]},
+    {"field": "real", "m": 1, "n": 1, "data": [[{}]]},
+])
+def test_load_rejects_malformed_structure_as_value_error(tmp_path, obj):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(obj))
+    with pytest.raises(ValueError):
+        load_frame(path)
+
+
+def json_dumps_layout(frame, extra=None):
+    """Reference bytes of a frame file: the whole object through json.dumps."""
+    if frame.field == "real":
+        data = [[float(v) for v in row] for row in frame.entries]
+    else:
+        data = [[[float(v.real), float(v.imag)] for v in row] for row in frame.entries]
+    obj = {"field": frame.field, "m": frame.m, "n": frame.n, "data": data, **(extra or {})}
+    return json.dumps(obj, indent=1) + "\n"
+
+
+def assert_saved_as_json_dumps(frame, path, extra=None):
+    save_frame(frame, path, extra=extra)
+    assert path.read_text() == json_dumps_layout(frame, extra)
+    back = load_frame(path)
+    assert back.field == frame.field
+    # tobytes compares sign bits, which array_equal does not
+    assert back.entries.tobytes() == frame.entries.tobytes()
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    m=st.integers(min_value=1, max_value=5),
+    extra=st.integers(min_value=0, max_value=5),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    field=st.sampled_from(["real", "complex"]),
+)
+def test_property_save_frame_bytes_match_json_dumps(tmp_path, m, extra, seed, field):
+    assert_saved_as_json_dumps(random_frame(m, m + extra, field, seed=seed), tmp_path / "f.json")
+
+
+@pytest.mark.parametrize("field, entries", [
+    ("real", [[1.0]]),
+    ("complex", [[complex(-0.0, 1.0)]]),
+    ("real", [[-0.0, 1.0], [-1.0, -0.0]]),
+    ("complex", [[complex(1.0, -0.0), complex(-0.0, -0.0)],
+                 [complex(-0.0, 0.0), complex(-0.0, -1.0)]]),
+])
+def test_save_frame_small_and_signed_zero_frames(tmp_path, field, entries):
+    assert_saved_as_json_dumps(Frame(field=field, entries=np.array(entries)), tmp_path / "f.json")
+
+
+def test_save_frame_extra_keys_match_json_dumps(tmp_path):
+    extra = {
+        "construction": {"kind": "harmonic", "q": 11, "params": [1, 2.5, {"deep": [None, True]}]},
+        "note": "Welch bound \u2014 erasures, \u00fc, \u2211, \U0001d53d",
+        "manifest": {"command": "construct", "params": {"data": None, "tags": []}, "empty": {}},
+    }
+    assert_saved_as_json_dumps(harmonic_etf(11), tmp_path / "f.json", extra)
+
+
+def test_save_frame_rejects_extra_replacing_frame_keys(tmp_path):
+    with pytest.raises(ValueError, match="frame keys"):
+        save_frame(simplex_etf(2), tmp_path / "f.json", extra={"data": []})
 
 
 @settings(max_examples=40, deadline=None)
