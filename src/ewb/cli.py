@@ -138,6 +138,19 @@ def _out_stream(path):
     return nullcontext(sys.stdout)
 
 
+def _write_csv(args, man: dict, header, rows, notes=()) -> None:
+    """Write a CSV artifact to --out (stdout when unset): the manifest line,
+    one '# ' line per note, the header and the rows; then log the manifest."""
+    with _out_stream(args.out) as fh:
+        fh.write("# manifest: " + json.dumps(man, sort_keys=True) + "\n")
+        for note in notes:
+            fh.write(f"# {note}\n")
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+    _log_manifest(man)
+
+
 def load_frame(path) -> tuple[Frame, dict]:
     """The frame in a frame file and its construction record ({} when the file
     has none), from one parse.  Every command reads frames through this name,
@@ -228,31 +241,28 @@ def cmd_moments(args) -> int:
             raise ValueError("method mc needs --trials")
         seed = _resolve_seed(args)
 
-    man = _manifest(args, seed=seed)
-    rows = []
+    # moment(p, d) -> (value, stderr column)
     if args.method == "poly":
         polys = {d: moment_polynomial(frame, d) for d in ds}
-        for p in ps:
-            for d in ds:
-                rows.append((p, d, polys[d].evaluate(p), ""))
+
+        def moment(p, d):
+            return polys[d].evaluate(p), ""
     elif args.method == "brute":
         table = bruteforce_table(frame, d_max=max(ds))
-        for p in ps:
-            for d in ds:
-                rows.append((p, d, table.moment(p, d), ""))
-    else:
-        for p in ps:
-            for d in ds:
-                est = montecarlo_moment(frame, ErasureModel(p=p, seed=seed), d, args.trials)
-                rows.append((p, d, est.value, _fmt(est.stderr)))
 
-    with _out_stream(args.out) as fh:
-        fh.write("# manifest: " + json.dumps(man, sort_keys=True) + "\n")
-        writer = csv.writer(fh)
-        writer.writerow(["p", "d", "method", "value", "stderr"])
-        for p, d, value, stderr in rows:
-            writer.writerow([_fmt(p), d, args.method, _fmt(value), stderr])
-    _log_manifest(man)
+        def moment(p, d):
+            return table.moment(p, d), ""
+    else:
+        def moment(p, d):
+            est = montecarlo_moment(frame, ErasureModel(p=p, seed=seed), d, args.trials)
+            return est.value, _fmt(est.stderr)
+
+    rows = []
+    for p in ps:
+        for d in ds:
+            value, stderr = moment(p, d)
+            rows.append([_fmt(p), d, args.method, _fmt(value), stderr])
+    _write_csv(args, _manifest(args, seed=seed), ["p", "d", "method", "value", "stderr"], rows)
     return 0
 
 
@@ -295,43 +305,24 @@ def cmd_bound(args) -> int:
 
 def cmd_manova(args) -> int:
     params = ManovaParams(gamma=args.gamma, p=args.p)
+    ds = _sorted_within(args.d or [1, 2, 3, 4], "law orders", 1, 4)
     sup = support(params)
-    man = _manifest(args)
-    with _out_stream(args.out) as fh:
-        fh.write("# manifest: " + json.dumps(man, sort_keys=True) + "\n")
-        fh.write(
-            f"# atom_location={_fmt(sup.atom_location)} atom_weight={_fmt(sup.atom_weight)}\n"
-        )
-        writer = csv.writer(fh)
-        if args.grid is not None:
-            ts = np.linspace(sup.r_minus, sup.r_plus, args.grid)
-            try:
-                vals = [density(t, params) for t in ts]
-            except AtomicOnlyError as exc:
-                fh.write(f"# atomic-only: {exc}\n")
-                writer.writerow(["t", "density"])
-                _log_manifest(man)
-                return 0
-            writer.writerow(["t", "density"])
-            for t, v in zip(ts, vals):
-                writer.writerow([_fmt(t), _fmt(v)])
-        else:
-            ds = sorted(args.d) if args.d is not None else [1, 2, 3, 4]
-            writer.writerow(["gamma", "p", "d", "closed", "numeric", "abs_err"])
-            for d in ds:
-                closed = moment_closed(params, d)
-                numeric = moment_numeric(params, d)
-                writer.writerow(
-                    [
-                        _fmt(params.gamma),
-                        _fmt(params.p),
-                        d,
-                        _fmt(closed),
-                        _fmt(numeric),
-                        _fmt(abs(closed - numeric)),
-                    ]
-                )
-    _log_manifest(man)
+    notes = [f"atom_location={_fmt(sup.atom_location)} atom_weight={_fmt(sup.atom_weight)}"]
+    rows = []
+    if args.grid is not None:
+        header = ["t", "density"]
+        ts = np.linspace(sup.r_minus, sup.r_plus, args.grid)
+        try:
+            rows = [[_fmt(t), _fmt(density(t, params))] for t in ts]
+        except AtomicOnlyError as exc:
+            notes.append(f"atomic-only: {exc}")
+    else:
+        header = ["gamma", "p", "d", "closed", "numeric", "abs_err"]
+        for d in ds:
+            closed, numeric = moment_closed(params, d), moment_numeric(params, d)
+            rows.append([_fmt(params.gamma), _fmt(params.p), d, _fmt(closed), _fmt(numeric),
+                         _fmt(abs(closed - numeric))])
+    _write_csv(args, _manifest(args), header, rows, notes)
     return 0
 
 
@@ -358,8 +349,9 @@ def _sweep_frames(args, seed: int):
 def cmd_sweep(args) -> int:
     ds = _sorted_within(args.d, "sweep orders", 2, 4)
     ps = _sorted_within(args.p, "keep probabilities", 0.0, 1.0)
+    if args.trials is not None:
+        _sorted_within([args.trials], "KS trials", 1, math.inf)
     seed = _resolve_seed(args)
-    man = _manifest(args, seed=seed)
 
     violations = 0
     rows = []
@@ -393,14 +385,9 @@ def cmd_sweep(args) -> int:
                 except ValueError as exc:
                     rows.append(base + ["", "", "", ks, str(exc)])
 
-    with _out_stream(args.out) as fh:
-        fh.write("# manifest: " + json.dumps(man, sort_keys=True) + "\n")
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["family", "m", "n", "seed", "p", "d", "moment", "bound", "slack", "ks_distance", "error"]
-        )
-        writer.writerows(rows)
-    _log_manifest(man)
+    header = ["family", "m", "n", "seed", "p", "d", "moment", "bound", "slack", "ks_distance",
+              "error"]
+    _write_csv(args, _manifest(args, seed=seed), header, rows)
     if violations:
         print(f"error: {violations} bound violation(s) detected", file=sys.stderr)
         return 1

@@ -15,6 +15,7 @@ Gram-derived invariants on first use; a race only computes them twice).
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 from dataclasses import dataclass
 from functools import cached_property
@@ -345,27 +346,32 @@ _FRAME_KEYS = ("field", "m", "n", "data")
 def frame_from_json_obj(obj) -> Frame:
     if not isinstance(obj, dict):
         raise ValueError("frame JSON must be an object")
-    field, data = obj["field"], obj["data"]
+    field, m, n, data = obj["field"], obj["m"], obj["n"], obj["data"]
+    if field not in (REAL, COMPLEX):
+        raise ValueError(f"unknown field {field!r}")
+    # type(), not isinstance(): JSON true and false load as bool, an int subclass
+    if type(m) is not int or type(n) is not int:
+        raise ValueError(f"frame m and n must be JSON integers, got {m!r} and {n!r}")
     if not isinstance(data, list) or not all(isinstance(row, list) for row in data):
         raise ValueError("frame data must be a list of rows")
-    try:
-        m, n = int(obj["m"]), int(obj["n"])
-        if len(data) != m or any(len(row) != n for row in data):
-            raise ValueError("data shape does not match declared (m, n)")
-        raw = np.array(data, dtype=np.float64)
-    except TypeError as exc:
-        raise ValueError(f"frame m, n and entries must be numbers ({exc})") from None
-    if field == REAL:
-        ent = raw
-    elif field == COMPLEX:
-        if raw.shape != (m, n, 2):
+    if len(data) != m or any(len(row) != n for row in data):
+        raise ValueError("data shape does not match declared (m, n)")
+    values = list(itertools.chain.from_iterable(data))
+    if field == COMPLEX:
+        if set(map(type, values)) - {list} or set(map(len, values)) - {2}:
             raise ValueError("complex data entries must be [re, im] pairs")
-        # reinterpret each (re, im) pair in place: re + 1j*im would turn a
-        # -0.0 real part into +0.0
-        ent = raw.view(np.complex128)[..., 0]
-    else:
-        raise ValueError(f"unknown field {field!r}")
-    return Frame(field=field, entries=ent)
+        values = list(itertools.chain.from_iterable(values))
+    # numpy would read the string "1.0" and the JSON true as numbers
+    if not set(map(type, values)) <= {int, float}:
+        raise ValueError("frame entries must be JSON numbers")
+    try:
+        raw = np.array(values, dtype=np.float64).reshape(m, n, -1)
+    except OverflowError as exc:
+        raise ValueError(f"frame entries must be finite numbers ({exc})") from None
+    # a complex entry reinterprets its (re, im) pair in place: re + 1j*im
+    # would turn a -0.0 real part into +0.0
+    ent = raw if field == REAL else raw.view(np.complex128)
+    return Frame(field=field, entries=ent[..., 0])
 
 
 def save_frame(frame: Frame, path: str | Path, extra: dict | None = None) -> None:

@@ -18,7 +18,14 @@ become w sin(theta) cos(theta) and the 1 - gamma t factor becomes
 (1 - gamma r+) + gamma w cos^2(theta) with the cancellation-free identity
 1 - gamma r+ = (sqrt((1-p)(1-gamma)) - sqrt(p gamma))^2, so the transformed
 integrand is smooth on [0, pi/2] even when the bulk touches 0 or 1/gamma.
-Composite Gauss-Legendre panels are doubled until two refinements agree.
+Every bulk integral (moments, bulk mass, the cached CDF tables) runs through
+one loop, _refine, that doubles composite Gauss-Legendre panels until two
+refinements agree.
+
+support() alone decides the law's shape: whether it has a continuous bulk
+(has_bulk) and where its CDF jumps (jumps); density, bulk_mass,
+moment_numeric, cdf_many, quantile_many and spectral.ks_distance read those
+two fields.
 """
 
 from __future__ import annotations
@@ -68,14 +75,25 @@ class ManovaParams:
 
 @dataclass(frozen=True)
 class ManovaSupport:
+    """Bulk endpoints, the atom at 1/gamma, and the law's shape.
+
+    has_bulk is false when p is 0 or 1 or the bulk is no wider than
+    _DEGENERATE_WIDTH (gamma = 1).  jumps holds the (location, weight) of
+    each point mass of the CDF: a unit mass at 0 when p = 0, the atom when
+    there is a bulk, and otherwise mass 1 - atom_weight at r- plus the atom.
+    """
+
     r_minus: float
     r_plus: float
     atom_location: float
     atom_weight: float
+    has_bulk: bool
+    jumps: tuple
 
 
 def support(params: ManovaParams) -> ManovaSupport:
-    """Bulk endpoints and the atom at 1/gamma with its weight."""
+    """Bulk endpoints, the atom at 1/gamma with its weight, and the law's
+    shape (ManovaSupport.has_bulk and jumps)."""
     g, p = params.gamma, params.p
     a = math.sqrt((p / g) * (1.0 - g))
     b = math.sqrt(1.0 - p)
@@ -95,11 +113,15 @@ def support(params: ManovaParams) -> ManovaSupport:
     # the atom location (iff p + g = 1) but never cross it.  Guard anyway.
     if r_plus > loc * (1.0 + 1e-12):
         raise ValueError("bulk support exceeds the atom location; invalid parameters")
-    return ManovaSupport(r_minus=r_minus, r_plus=r_plus, atom_location=loc, atom_weight=weight)
-
-
-def _bulk_width(sup: ManovaSupport) -> float:
-    return sup.r_plus - sup.r_minus
+    has_bulk = 0.0 < p < 1.0 and r_plus - r_minus > _DEGENERATE_WIDTH
+    if p == 0.0:
+        jumps = ((0.0, 1.0),)
+    elif has_bulk:
+        jumps = ((loc, weight),)
+    else:
+        jumps = ((r_minus, 1.0 - weight), (loc, weight))
+    return ManovaSupport(r_minus=r_minus, r_plus=r_plus, atom_location=loc,
+                         atom_weight=weight, has_bulk=has_bulk, jumps=jumps)
 
 
 def density(t: float, params: ManovaParams) -> float:
@@ -109,7 +131,7 @@ def density(t: float, params: ManovaParams) -> float:
     an empty bulk (p in {0, 1}, or gamma = 1) raise AtomicOnlyError.
     """
     sup = support(params)
-    if params.p <= 0.0 or params.p >= 1.0 or _bulk_width(sup) <= _DEGENERATE_WIDTH:
+    if not sup.has_bulk:
         raise AtomicOnlyError("no continuous bulk for these parameters")
     t = float(t)
     if t <= sup.r_minus or t >= sup.r_plus:
@@ -128,7 +150,7 @@ def _bulk_integrand(params: ManovaParams, sup: ManovaSupport):
     theta is evaluated strictly inside (0, pi/2) -- Gauss nodes are.
     """
     g, p = params.gamma, params.p
-    w = _bulk_width(sup)
+    w = sup.r_plus - sup.r_minus
     edge_plus = (math.sqrt((1.0 - p) * (1.0 - g)) - math.sqrt(p * g)) ** 2
     scale = g * w * w / (math.pi * min(p, g))
 
@@ -144,38 +166,35 @@ def _bulk_integrand(params: ManovaParams, sup: ManovaSupport):
     return fn
 
 
-def _composite(fn, panels: int) -> float:
-    edges = np.linspace(0.0, _HALF_PI, panels + 1)
-    half = 0.5 * (edges[1] - edges[0])
-    centers = edges[:-1] + half
-    pts = centers[:, None] + half * _NODES[None, :]
-    per_panel = fn(pts.reshape(-1)).reshape(panels, -1) @ _WEIGHTS
-    return half * float(per_panel.sum())
+def _refine(fn, panels: int, tol: float) -> tuple:
+    """Composite Gauss-Legendre over [0, pi/2], doubling the panels from the
+    given count until two refinements agree to tol.
 
-
-def _adaptive(fn, tol: float) -> tuple:
-    """Panel-doubling composite Gauss-Legendre; (value, |refinement change|)."""
-    panels = 8
-    prev = _composite(fn, panels)
-    est = math.inf
-    while panels < _MAX_PANELS:
-        panels *= 2
-        cur = _composite(fn, panels)
-        est = abs(cur - prev)
+    Returns (panel edges, panel half-width, unscaled per-panel sums, total);
+    a panel's integral is the half-width times its sum.
+    """
+    prev = None
+    while True:
+        edges = np.linspace(0.0, _HALF_PI, panels + 1)
+        half = 0.5 * (edges[1] - edges[0])
+        pts = (edges[:-1] + half)[:, None] + half * _NODES[None, :]
+        raw = fn(pts.reshape(-1)).reshape(panels, -1) @ _WEIGHTS
+        total = half * float(raw.sum())
+        est = math.inf if prev is None else abs(total - prev)
         if est <= tol:
-            return cur, est
-        prev = cur
-    raise QuadratureError("quadrature did not reach the requested tolerance", est)
+            return edges, half, raw, total
+        if panels >= _MAX_PANELS:
+            raise QuadratureError("quadrature did not reach the requested tolerance", est)
+        prev, panels = total, 2 * panels
 
 
 def bulk_mass(params: ManovaParams) -> float:
     """Probability carried by the continuous bulk (1 - atom_weight in exact
     arithmetic); 0 when the bulk is empty."""
     sup = support(params)
-    if params.p in (0.0, 1.0) or _bulk_width(sup) <= _DEGENERATE_WIDTH:
+    if not sup.has_bulk:
         return 0.0
-    val, _ = _adaptive(_bulk_integrand(params, sup), 1e-9)
-    return val
+    return _refine(_bulk_integrand(params, sup), 8, 1e-9)[3]
 
 
 def moment_closed(params: ManovaParams, d: int) -> float:
@@ -206,17 +225,12 @@ def moment_numeric(params: ManovaParams, d: int, tol: float = 1e-8) -> float:
     min(p, gamma) * (integral of t^d rho(t) dt + atom_weight / gamma^d)."""
     if d < 1:
         raise ValueError("moment order must be a positive integer")
-    minpg = min(params.p, params.gamma)
-    if minpg <= 0.0:
-        return 0.0
     sup = support(params)
-    atom = sup.atom_weight * sup.atom_location**d
-    if _bulk_width(sup) <= _DEGENERATE_WIDTH:
-        bulk = 0.0
-    else:
+    bulk = 0.0
+    if sup.has_bulk:
         fn = _bulk_integrand(params, sup)
-        bulk, _ = _adaptive(lambda th: fn(th, lambda t: t**d), tol)
-    return minpg * (bulk + atom)
+        bulk = _refine(lambda th: fn(th, lambda t: t**d), 8, tol)[3]
+    return min(params.p, params.gamma) * (bulk + sup.atom_weight * sup.atom_location**d)
 
 
 def delta_correction(params: ManovaParams, d: int, n: int) -> float:
@@ -232,8 +246,9 @@ def delta_correction(params: ManovaParams, d: int, n: int) -> float:
     return (p * (1.0 - p)) ** 2 * x * x / (n - 1.0)
 
 
-# Cached cumulative bulk tables keyed by (gamma, p): panel edges in theta and
-# prefix sums of per-panel integrals, refined until the total stabilizes.
+# Cached cumulative bulk tables keyed by (gamma, p): the integrand, panel
+# edges in theta and prefix sums of per-panel integrals, refined until the
+# total stabilizes.
 _TABLE_CACHE: dict = {}
 
 
@@ -242,62 +257,39 @@ def _bulk_table(params: ManovaParams):
     tab = _TABLE_CACHE.get(key)
     if tab is not None:
         return tab
-    sup = support(params)
-    fn = _bulk_integrand(params, sup)
-    panels = _TABLE_MIN_PANELS
-    prev = None
-    while True:
-        edges = np.linspace(0.0, _HALF_PI, panels + 1)
-        half = 0.5 * (edges[1] - edges[0])
-        pts = (edges[:-1] + half)[:, None] + half * _NODES[None, :]
-        per_panel = half * (fn(pts.reshape(-1)).reshape(panels, -1) @ _WEIGHTS)
-        total = float(per_panel.sum())
-        if prev is not None and abs(total - prev) <= 1e-9:
-            break
-        if panels >= _MAX_PANELS:
-            raise QuadratureError(
-                "cumulative table did not converge",
-                abs(total - prev) if prev is not None else math.inf,
-            )
-        prev = total
-        panels *= 2
-    prefix = np.concatenate([[0.0], np.cumsum(per_panel)])
+    fn = _bulk_integrand(params, support(params))
+    edges, half, raw, _ = _refine(fn, _TABLE_MIN_PANELS, 1e-9)
     if len(_TABLE_CACHE) > 64:
         _TABLE_CACHE.clear()
-    tab = (sup, fn, edges, prefix)
+    tab = (fn, edges, np.concatenate([[0.0], np.cumsum(half * raw)]))
     _TABLE_CACHE[key] = tab
     return tab
 
 
 def cdf_many(ts, params: ManovaParams, left: bool = False) -> np.ndarray:
-    """Full-law CDF (bulk quadrature plus atom step) at each t, vectorized.
+    """Full-law CDF (bulk quadrature plus a step at each jump) at each t, vectorized.
 
     left=True returns the left limit P(X < t) instead of P(X <= t); the two
     differ only at point masses.
     """
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
-    step = (lambda t, a: t > a) if left else (lambda t, a: t >= a)
-    if params.p == 0.0:
-        # degenerate law: everything erased, unit mass at 0
-        return step(ts, 0.0).astype(float)
+    step = np.greater if left else np.greater_equal
     sup = support(params)
-    w = _bulk_width(sup)
-    if params.p >= 1.0 or w <= _DEGENERATE_WIDTH:
-        out = (1.0 - sup.atom_weight) * step(ts, sup.r_minus)
-        out = out + sup.atom_weight * step(ts, sup.atom_location)
-        return out
-    _, fn, edges, prefix = _bulk_table(params)
-    ratio = np.clip((ts - sup.r_minus) / w, 0.0, 1.0)
-    theta = np.arcsin(np.sqrt(ratio))
-    j = np.clip(np.searchsorted(edges, theta, side="right") - 1, 0, len(edges) - 2)
-    lo = edges[j]
-    half = 0.5 * (theta - lo)
-    pts = (lo + half)[:, None] + half[:, None] * _NODES[None, :]
-    partial = (fn(pts.reshape(-1)).reshape(ts.size, -1) @ _WEIGHTS) * half
-    bulk = prefix[j] + partial
-    bulk[ts <= sup.r_minus] = 0.0
-    bulk[ts >= sup.r_plus] = prefix[-1]
-    out = bulk + sup.atom_weight * step(ts, sup.atom_location)
+    out = np.zeros(ts.shape)
+    if sup.has_bulk:
+        fn, edges, prefix = _bulk_table(params)
+        ratio = np.clip((ts - sup.r_minus) / (sup.r_plus - sup.r_minus), 0.0, 1.0)
+        theta = np.arcsin(np.sqrt(ratio))
+        j = np.clip(np.searchsorted(edges, theta, side="right") - 1, 0, len(edges) - 2)
+        lo = edges[j]
+        half = 0.5 * (theta - lo)
+        pts = (lo + half)[:, None] + half[:, None] * _NODES[None, :]
+        out = prefix[j] + (fn(pts.reshape(-1)).reshape(ts.size, -1) @ _WEIGHTS) * half
+        out[ts <= sup.r_minus] = 0.0
+        # the whole bulk lies below 1/gamma, which r+ can exceed by round-off
+        out[ts >= min(sup.r_plus, sup.atom_location)] = prefix[-1]
+    for loc, weight in sup.jumps:
+        out = out + weight * step(ts, loc)
     return np.clip(out, 0.0, 1.0)
 
 
@@ -316,14 +308,12 @@ def quantile_many(qs, params: ManovaParams) -> np.ndarray:
     qs = np.atleast_1d(np.asarray(qs, dtype=float))
     if np.any((qs < 0.0) | (qs > 1.0)):
         raise ValueError("probability levels must lie in [0, 1]")
-    if params.p == 0.0:
-        return np.zeros(qs.shape)
     sup = support(params)
-    w = _bulk_width(sup)
-    if params.p >= 1.0 or w <= _DEGENERATE_WIDTH:
-        bulk_w = 1.0 - sup.atom_weight
-        return np.where(qs <= bulk_w, sup.r_minus, sup.atom_location)
-    _, _, edges, prefix = _bulk_table(params)
+    if not sup.has_bulk:
+        # at most two jumps: levels up to the first one's weight map to it
+        (first, weight), (last, _) = sup.jumps[0], sup.jumps[-1]
+        return np.where(qs <= weight, first, last)
+    _, edges, prefix = _bulk_table(params)
     theta = np.interp(qs, prefix, edges)
-    t = sup.r_minus + w * np.sin(theta) ** 2
+    t = sup.r_minus + (sup.r_plus - sup.r_minus) * np.sin(theta) ** 2
     return np.where(qs <= prefix[-1], t, sup.atom_location)

@@ -18,7 +18,7 @@ import numpy as np
 
 from .erasure_moments import ErasureModel, erased_operators
 from .frames import Frame, gram  # noqa: F401 (bench/tracing.py wraps gram)
-from .manova import _DEGENERATE_WIDTH, ManovaParams, cdf_many, support
+from .manova import ManovaParams, cdf_many, support
 from .rng import keep_masks
 
 _HERMITIAN_TOL = 1e-10
@@ -114,18 +114,17 @@ def ks_distance(pooled, params: ManovaParams) -> float:
     """Sup distance between the empirical CDF of pooled eigenvalues and the
     MANOVA(gamma, p) law.
 
-    The reference law may carry an atom at 1/gamma, so the supremum is also
-    evaluated from the left at the atom location.
+    The reference law may carry point masses (support(params).jumps), so the
+    supremum is also evaluated from the left at each of them.
     """
     xs = np.array(pooled, dtype=float).reshape(-1)
     nq = xs.size
     if nq == 0:
         raise ValueError("empty eigenvalue pool")
     sup = support(params)
-    # a value within round-off of a jump of the law (the atom, and r- when
-    # the bulk collapses to a point) sits on it
-    degenerate = params.p >= 1.0 or sup.r_plus - sup.r_minus <= _DEGENERATE_WIDTH
-    for jump in [sup.atom_location] + [sup.r_minus] * degenerate:
+    jumps = [loc for loc, _ in sup.jumps]
+    # a value within round-off of a jump of the law sits on it
+    for jump in jumps:
         xs[np.abs(xs - jump) <= _JUMP_RTOL * np.maximum(1.0, np.abs(xs))] = jump
     xs.sort()
     # Both CDFs are monotone step/continuous mixtures, so the supremum is
@@ -134,7 +133,10 @@ def ks_distance(pooled, params: ManovaParams) -> float:
     cand = np.unique(np.concatenate([xs, [0.0, sup.r_minus, sup.atom_location]]))
     emp_le = np.searchsorted(xs, cand, side="right") / nq
     emp_lt = np.searchsorted(xs, cand, side="left") / nq
+    # the law's left limit differs from its CDF only at its jumps
     ref_le = cdf_many(cand, params)
-    ref_lt = cdf_many(cand, params, left=True)
+    ref_lt = ref_le.copy()
+    at = np.isin(cand, jumps)
+    ref_lt[at] = cdf_many(cand[at], params, left=True)
     dist = max(float(np.max(np.abs(emp_le - ref_le))), float(np.max(np.abs(emp_lt - ref_lt))))
     return min(1.0, dist)

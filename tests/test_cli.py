@@ -190,6 +190,10 @@ def test_bound_closes_frame_files(etf_file, tmp_path):
     {"field": "real", "m": 2, "n": 2, "data": 5},
     {"field": "real", "m": 1, "n": 1, "data": [5]},
     [1, 2],
+    {"field": "real", "m": 1, "n": 1, "data": [["1.0"]]},
+    {"field": "real", "m": 1, "n": 1, "data": [[True]]},
+    {"field": "real", "m": 1.9, "n": 1, "data": [[1.0]]},
+    {"field": "real", "m": 1, "n": 1, "data": [[10**400]]},
 ])
 def test_malformed_frame_json_is_validation_error(tmp_path, capsys, command, obj):
     bad = tmp_path / "bad.json"
@@ -273,6 +277,15 @@ def test_manova_rejects_bad_gamma():
     assert main(["manova", "--gamma", "1.5", "--p", "0.5"]) == 2
 
 
+@pytest.mark.parametrize("extra", [[], ["--grid", "5"]])
+def test_manova_rejects_bad_order_before_any_output(tmp_path, capsys, extra):
+    out = tmp_path / "t.csv"
+    assert main(["manova", "--gamma", "0.5", "--p", "0.5", "--d", "1,5",
+                 "--out", str(out)] + extra) == 2
+    assert not out.exists()
+    assert "law orders must be in 1..4" in capsys.readouterr().err
+
+
 def test_sweep_harmonic_family(tmp_path):
     out = tmp_path / "s.csv"
     assert main(["sweep", "--family", "harmonic", "--q", "3,7,11",
@@ -314,6 +327,15 @@ def test_sweep_rejects_bad_probability_before_any_row(tmp_path, capsys, p):
                  "--trials", "10", "--out", str(out)]) == 2
     assert not out.exists()
     assert "keep probabilities must be in" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_sweep_rejects_trials_below_one_before_any_row(tmp_path, capsys, trials):
+    out = tmp_path / "s.csv"
+    assert main(["sweep", "--family", "simplex", "--m", "3", "--p", "0.5", "--d", "2",
+                 "--trials", trials, "--out", str(out)]) == 2
+    assert not out.exists()
+    assert "KS trials must be in 1..inf" in capsys.readouterr().err
 
 
 def test_invariants_built_once_per_frame(etf_file, tmp_path, monkeypatch):

@@ -269,6 +269,15 @@ def test_load_rejects_malformed(tmp_path):
     {"field": "real", "m": 1, "n": 1, "data": [5]},
     {"field": "real", "m": None, "n": 1, "data": [[1.0]]},
     {"field": "real", "m": 1, "n": 1, "data": [[{}]]},
+    {"field": "real", "m": 1, "n": 1, "data": [["1.0"]]},
+    {"field": "real", "m": 1, "n": 2, "data": [[1.0, True]]},
+    {"field": "complex", "m": 1, "n": 1, "data": [[["1.0", 0.0]]]},
+    {"field": "complex", "m": 1, "n": 1, "data": [[[1.0, False]]]},
+    {"field": "real", "m": 1.9, "n": 1, "data": [[1.0]]},
+    {"field": "real", "m": 1, "n": True, "data": [[1.0]]},
+    {"field": "real", "m": 1, "n": 1, "data": [[10**400]]},
+    {"field": "real", "m": 1, "n": 1, "data": [[[1.0]]]},
+    {"field": "complex", "m": 1, "n": 2, "data": [[[1.0, 0.0, 0.0], [1.0]]]},
 ])
 def test_load_rejects_malformed_structure_as_value_error(tmp_path, obj):
     path = tmp_path / "bad.json"

@@ -7,11 +7,13 @@ from numpy.testing import assert_allclose
 from ewb import (
     AtomicOnlyError,
     ManovaParams,
+    QuadratureError,
     bulk_mass,
     cdf,
     cdf_many,
     delta_correction,
     density,
+    manova,
     moment_closed,
     moment_numeric,
     quantile_many,
@@ -288,3 +290,65 @@ def test_moment_numeric_agrees_with_quantile_average():
     ts = quantile_many(qs, params)
     mc = float(np.mean(ts**2)) * min(params.p, params.gamma)
     assert abs(mc - moment_closed(params, 2)) < 5e-4
+
+
+def test_support_decides_the_bulk_and_the_jumps():
+    sup = support(ManovaParams(gamma=0.5, p=0.0))
+    assert not sup.has_bulk and sup.jumps == ((0.0, 1.0),)
+    sup = support(ManovaParams(gamma=0.6, p=0.7))
+    assert sup.has_bulk and sup.jumps == ((sup.atom_location, sup.atom_weight),)
+    for gamma, p in [(0.4, 1.0), (1.0, 0.8)]:
+        sup = support(ManovaParams(gamma=gamma, p=p))
+        assert not sup.has_bulk
+        assert sup.jumps == ((sup.r_minus, 0.0), (sup.atom_location, 1.0))
+
+
+@pytest.mark.parametrize("gamma, p, above_zero", [
+    (0.5, 0.0, 0.0),  # everything erased: unit mass at 0
+    (0.4, 1.0, 2.5),  # nothing erased: unit mass at 1/gamma
+    (1.0, 0.8, 1.0),  # square frame: unit mass at 1
+])
+def test_quantile_atomic_only_laws(gamma, p, above_zero):
+    params = ManovaParams(gamma=gamma, p=p)
+    qs = np.array([0.0, 1e-12, 0.3, 0.9, 1.0])
+    ts = quantile_many(qs, params)
+    # level 0 maps to the first jump, which carries no mass unless p = 0
+    first = 0.0 if p == 0.0 else support(params).r_minus
+    assert ts.tolist() == [first] + [above_zero] * 4
+    # generalized inverse: P(X < t) <= q <= P(X <= t)
+    assert np.all(cdf_many(ts, params, left=True) <= qs)
+    assert np.all(cdf_many(ts, params) >= qs)
+
+
+@pytest.fixture
+def midpoint_rule(monkeypatch):
+    """A one-point rule, far too coarse for the doubling to converge within
+    8 -> 16 panels, with the doubling capped there."""
+    monkeypatch.setattr(manova, "_NODES", np.array([0.0]))
+    monkeypatch.setattr(manova, "_WEIGHTS", np.array([2.0]))
+    monkeypatch.setattr(manova, "_MAX_PANELS", 16)
+    monkeypatch.setattr(manova, "_TABLE_MIN_PANELS", 8)
+    monkeypatch.setattr(manova, "_TABLE_CACHE", {})
+
+
+def test_moment_numeric_raises_when_doubling_runs_out(midpoint_rule):
+    with pytest.raises(QuadratureError) as exc:
+        moment_numeric(ManovaParams(gamma=0.6, p=0.7), 2)
+    assert math.isfinite(exc.value.estimate) and exc.value.estimate > 1e-8
+
+
+def test_cold_cdf_raises_when_doubling_runs_out(midpoint_rule):
+    with pytest.raises(QuadratureError) as exc:
+        cdf_many([1.0], ManovaParams(gamma=0.6, p=0.7))
+    assert math.isfinite(exc.value.estimate) and exc.value.estimate > 1e-9
+    assert manova._TABLE_CACHE == {}  # no half-built table is kept
+
+
+def test_cdf_at_the_atom_holds_the_whole_bulk_when_r_plus_rounds_above_it():
+    # p + gamma = 1 puts r+ on 1/gamma; here round-off puts it just above,
+    # but the bulk still lies wholly below the atom location
+    params = ManovaParams(gamma=0.1, p=0.9)
+    sup = support(params)
+    assert sup.r_plus > sup.atom_location
+    left = cdf_many([sup.atom_location], params, left=True)[0]
+    assert abs(left - bulk_mass(params)) <= 1e-12

@@ -7,6 +7,7 @@ from ewb import (
     Frame,
     ManovaParams,
     Spectrum,
+    cdf_many,
     expected_moment,
     gram,
     harmonic_etf,
@@ -256,3 +257,33 @@ def test_ks_distance_values_within_round_off_of_the_atom():
         nudged = np.where(pooled == atom, np.nextafter(atom, direction), pooled)
         assert (nudged != pooled).sum() > 100
         assert ks_distance(nudged, params) == exact
+
+
+def ks_from_two_full_cdf_calls(pooled, params):
+    """Reference KS: both one-sided law CDFs evaluated at every candidate."""
+    sup = support(params)
+    xs = np.array(pooled, dtype=float)
+    for jump, _ in sup.jumps:
+        xs[np.abs(xs - jump) <= 1e-12 * np.maximum(1.0, np.abs(xs))] = jump
+    xs.sort()
+    cand = np.unique(np.concatenate([xs, [0.0, sup.r_minus, sup.atom_location]]))
+    emp_le = np.searchsorted(xs, cand, side="right") / xs.size
+    emp_lt = np.searchsorted(xs, cand, side="left") / xs.size
+    ref_le = cdf_many(cand, params)
+    ref_lt = cdf_many(cand, params, left=True)
+    return min(1.0, max(float(np.max(np.abs(emp_le - ref_le))),
+                        float(np.max(np.abs(emp_lt - ref_lt)))))
+
+
+@pytest.mark.parametrize("gamma", [0.1, 0.25, 0.5, 0.6, 0.9, 1.0])
+@pytest.mark.parametrize("p", [0.0, 0.3, 0.75, 1.0, "1-gamma"])
+def test_ks_distance_left_limits_only_at_the_jumps(gamma, p):
+    # every jump of the law, with pools on it, one ulp off it, and in the bulk
+    params = ManovaParams(gamma=gamma, p=1.0 - gamma if p == "1-gamma" else p)
+    jumps = np.array([loc for loc, _ in support(params).jumps])
+    rng = np.random.default_rng(5)
+    for size in (1, 7, 200):
+        near = np.concatenate([jumps, np.nextafter(jumps, 0.0), np.nextafter(jumps, np.inf)])
+        pooled = np.concatenate([quantile_many(rng.uniform(size=size), params),
+                                 np.repeat(near, rng.integers(1, 20, near.size))])
+        assert ks_distance(pooled, params) == ks_from_two_full_cdf_calls(pooled, params)
