@@ -44,7 +44,8 @@ class BoundReport:
     equality_class is "violation" iff slack < -tol (an implementation bug or
     an invalid frame -- never expected); "ETF-equality"/"UTF-equality" iff
     |slack| <= tol and the corresponding frame predicate holds (ETF checked
-    first, being the stronger); otherwise "strict".
+    first, being the stronger); otherwise "strict".  A non-finite slack is
+    never classified: building the report raises ValueError.
     """
 
     moment: float
@@ -81,6 +82,8 @@ def erasure_welch_bound(m: int, n: int, p: float, d: int) -> float:
 
 
 def _classify(frame: Frame, slack: float, equality_tol: float, violation_tol: float) -> str:
+    if not math.isfinite(slack):
+        raise ValueError(f"slack must be finite, got {slack}")
     # frame predicates are evaluated lazily: only near-equality cases pay
     # for the is_etf / is_utf checks
     if slack < -violation_tol:

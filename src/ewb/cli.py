@@ -61,7 +61,8 @@ from .manova import (
     support,
 )
 from .rng import GENERATOR_NAME
-from .spectral import ks_distance, pool_eigenvalues, subset_spectrum_samples
+from .spectral import ks_distance, pooled_subset_eigenvalues
+from .spectral import pool_eigenvalues, subset_spectrum_samples  # noqa: F401 (bench/tracing.py wraps them)
 
 
 def _fmt(v) -> str:
@@ -288,9 +289,10 @@ def cmd_bound(args) -> int:
         },
         "reports": [r.to_dict() for r in reports],
     }
+    # serialized before the file opens, so a non-finite value leaves no file
+    text = json.dumps(obj, indent=1, sort_keys=True, allow_nan=False)
     with _out_stream(args.out) as fh:
-        json.dump(obj, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
     _log_manifest(man)
     if any(r.equality_class == VIOLATION for r in reports):
         print("error: bound violation detected", file=sys.stderr)
@@ -306,6 +308,8 @@ def cmd_bound(args) -> int:
 def cmd_manova(args) -> int:
     params = ManovaParams(gamma=args.gamma, p=args.p)
     ds = _sorted_within(args.d or [1, 2, 3, 4], "law orders", 1, 4)
+    if args.grid is not None:
+        _sorted_within([args.grid], "density grid points", 1, math.inf)
     sup = support(params)
     notes = [f"atom_location={_fmt(sup.atom_location)} atom_weight={_fmt(sup.atom_weight)}"]
     rows = []
@@ -351,6 +355,7 @@ def cmd_sweep(args) -> int:
     ps = _sorted_within(args.p, "keep probabilities", 0.0, 1.0)
     if args.trials is not None:
         _sorted_within([args.trials], "KS trials", 1, math.inf)
+    _sorted_within([args.num_seeds], "random frames per (m, n)", 1, math.inf)
     seed = _resolve_seed(args)
 
     violations = 0
@@ -364,10 +369,9 @@ def cmd_sweep(args) -> int:
                 # per-row erasure seed, fixed by position in the sorted grid
                 ks_seed = seed + 1_000_003 * counter
                 try:
-                    spectra = subset_spectrum_samples(
+                    pooled = pooled_subset_eigenvalues(
                         frame, ErasureModel(p=p, seed=ks_seed), args.trials
                     )
-                    pooled = pool_eigenvalues(spectra, frame.m)
                     ks = _fmt(ks_distance(pooled, ManovaParams(gamma=frame.m / frame.n, p=p)))
                 except ValueError as exc:
                     err_ks = f"ks: {exc}"

@@ -40,6 +40,9 @@ _HALF_PI = math.pi / 2.0
 _DEGENERATE_WIDTH = 1e-14
 _MAX_PANELS = 1 << 13
 _TABLE_MIN_PANELS = 256
+# points per block of the bulk integrand: its few block-sized temporaries
+# stay in cache however many points a call evaluates
+_INTEGRAND_BLOCK = 2048
 
 
 class AtomicOnlyError(ValueError):
@@ -142,7 +145,8 @@ def density(t: float, params: ManovaParams) -> float:
 
 
 def _bulk_integrand(params: ManovaParams, sup: ManovaSupport):
-    """theta-integrand of the bulk law over [0, pi/2], vectorized.
+    """theta-integrand of the bulk law over [0, pi/2], vectorized over a 1-D
+    theta array in blocks of _INTEGRAND_BLOCK points.
 
     With t = r- + w sin^2(theta): rho(t) dt = gamma w^2 sin^2 cos^2 /
     (pi t (1 - gamma t) min(p, gamma)) dtheta.  sin^2/t stays finite when
@@ -153,15 +157,37 @@ def _bulk_integrand(params: ManovaParams, sup: ManovaSupport):
     w = sup.r_plus - sup.r_minus
     edge_plus = (math.sqrt((1.0 - p) * (1.0 - g)) - math.sqrt(p * g)) ** 2
     scale = g * w * w / (math.pi * min(p, g))
+    gw = g * w
 
     def fn(theta, f=None):
-        s2 = np.sin(theta) ** 2
-        c2 = np.cos(theta) ** 2
-        t = sup.r_minus + w * s2
-        # theta = 0 with r- = 0 gives t = 0 and a zero numerator; clamp the
-        # denominator so the 0/0 resolves to the correct limit 0
-        val = scale * s2 * c2 / (np.maximum(t, 1e-300) * (edge_plus + g * w * c2))
-        return val if f is None else val * f(t)
+        # scale s2 c2 / (max(t, 1e-300) (edge_plus + gw c2)) [* f(t)], one
+        # block at a time in place, in the operation order of that one-shot
+        # expression, so every value is bit-identical to it
+        out = np.empty(theta.shape)
+        size = min(theta.size, _INTEGRAND_BLOCK)
+        s2, c2, t = np.empty(size), np.empty(size), np.empty(size)
+        for lo in range(0, theta.size, _INTEGRAND_BLOCK):
+            th = theta[lo : lo + _INTEGRAND_BLOCK]
+            k = th.size
+            s, c, tk, val = s2[:k], c2[:k], t[:k], out[lo : lo + k]
+            np.sin(th, out=s)
+            np.multiply(s, s, out=s)
+            np.cos(th, out=c)
+            np.multiply(c, c, out=c)
+            np.multiply(s, w, out=tk)
+            np.add(tk, sup.r_minus, out=tk)
+            np.multiply(s, scale, out=val)
+            np.multiply(val, c, out=val)
+            # theta = 0 with r- = 0 gives t = 0 and a zero numerator; clamp
+            # the denominator so the 0/0 resolves to the correct limit 0
+            np.maximum(tk, 1e-300, out=s)
+            np.multiply(c, gw, out=c)
+            np.add(c, edge_plus, out=c)
+            np.multiply(s, c, out=s)
+            np.divide(val, s, out=val)
+            if f is not None:
+                np.multiply(val, f(tk), out=val)
+        return out
 
     return fn
 

@@ -8,6 +8,11 @@ min(|S|, m) eigenvalues carry mass; pooling exactly those matches the
 min(p, gamma) normalization of the MANOVA law while keeping sums of d-th
 powers equal to the full-trace moments (structural zeros from erased columns
 never enter the pool).
+
+pooled_subset_eigenvalues takes that pool straight from the batched solve,
+in trial order, without building one Spectrum per trial; it is the array
+pool_eigenvalues(subset_spectrum_samples(...), m) returns, and the route the
+CLI's KS column takes.
 """
 
 from __future__ import annotations
@@ -77,6 +82,18 @@ def hermitian_eigenvalues(a, psd: bool = False) -> Spectrum:
     return Spectrum(values=vals, source_dims=a.shape)
 
 
+def _subset_tops(frame: Frame, model: ErasureModel, trials: int) -> tuple:
+    """(tops, k): the trials x m checked eigenvalues of the erased frame
+    operators, each row nonincreasing, and the kept-column count |S| per trial."""
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    masks = keep_masks(model.seed, trials, frame.n, model.p)
+    tops = np.concatenate(
+        [_checked_eigvalsh(ops, psd=True) for ops in erased_operators(frame, masks)]
+    )
+    return tops, masks.sum(axis=1)
+
+
 def subset_spectrum_samples(frame: Frame, model: ErasureModel, trials: int) -> list:
     """One Spectrum of the kept-column Gram submatrix per trial: the top
     min(|S|, m) eigenvalues, checked as by hermitian_eigenvalues(psd=True),
@@ -85,19 +102,22 @@ def subset_spectrum_samples(frame: Frame, model: ErasureModel, trials: int) -> l
     Deterministic per (model.seed, trial index); empty subsets yield empty
     spectra, recorded rather than skipped.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    masks = keep_masks(model.seed, trials, frame.n, model.p)
-    tops = np.concatenate(
-        [_checked_eigvalsh(ops, psd=True) for ops in erased_operators(frame, masks)]
-    )
+    tops, ks = _subset_tops(frame, model, trials)
     out = []
-    for k, top in zip(masks.sum(axis=1).tolist(), tops):
+    for k, top in zip(ks.tolist(), tops):
         vals = np.zeros(k)
         vals[: min(k, frame.m)] = top[:k]
         vals.setflags(write=False)
         out.append(Spectrum(values=vals, source_dims=(k, k)))
     return out
+
+
+def pooled_subset_eigenvalues(frame: Frame, model: ErasureModel, trials: int) -> np.ndarray:
+    """The top min(|S|, m) eigenvalues of every trial's kept-column Gram
+    submatrix, concatenated in trial order: the same array as
+    pool_eigenvalues(subset_spectrum_samples(frame, model, trials), frame.m)."""
+    tops, ks = _subset_tops(frame, model, trials)
+    return tops[np.arange(frame.m) < ks[:, None]]
 
 
 def pool_eigenvalues(spectra, m: int) -> np.ndarray:

@@ -7,6 +7,7 @@ from ewb import (
     STRICT,
     UTF_EQUALITY,
     Frame,
+    bounds,
     bruteforce_moment,
     check_theorem,
     erasure_welch_bound,
@@ -232,3 +233,9 @@ def test_etf_family_equality_sweep():
                 rep = check_theorem(f, p, d)
                 assert rep.equality_class == ETF_EQUALITY, (f.m, f.n, p, d)
                 assert abs(rep.slack) <= 1e-9
+
+
+def test_non_finite_slack_is_never_classified(mercedes_benz, monkeypatch):
+    monkeypatch.setattr(bounds, "expected_moment", lambda frame, p, d: float("nan"))
+    with pytest.raises(ValueError, match="slack must be finite"):
+        check_theorem(mercedes_benz, 0.5, 2)

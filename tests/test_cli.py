@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from ewb import frames, load_frame
+from ewb import bounds, cli, frames, load_frame, spectral
+from ewb.bounds import BoundParams, BoundReport
 from ewb.cli import SWEEP_FAMILIES, _sweep_frames, build_parser, main
 
 
@@ -286,6 +287,15 @@ def test_manova_rejects_bad_order_before_any_output(tmp_path, capsys, extra):
     assert "law orders must be in 1..4" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("grid", ["0", "-3"])
+def test_manova_rejects_grid_below_one_before_any_output(tmp_path, capsys, grid):
+    out = tmp_path / "t.csv"
+    assert main(["manova", "--gamma", "0.5", "--p", "0.5", "--grid", grid,
+                 "--out", str(out)]) == 2
+    assert not out.exists()
+    assert "density grid points must be in 1..inf" in capsys.readouterr().err
+
+
 def test_sweep_harmonic_family(tmp_path):
     out = tmp_path / "s.csv"
     assert main(["sweep", "--family", "harmonic", "--q", "3,7,11",
@@ -336,6 +346,56 @@ def test_sweep_rejects_trials_below_one_before_any_row(tmp_path, capsys, trials)
                  "--trials", trials, "--out", str(out)]) == 2
     assert not out.exists()
     assert "KS trials must be in 1..inf" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("num_seeds", ["0", "-2"])
+@pytest.mark.parametrize("family", [["random", "--m", "3", "--n", "4"], ["harmonic", "--q", "7"]])
+def test_sweep_rejects_num_seeds_below_one_before_any_row(tmp_path, capsys, family, num_seeds):
+    out = tmp_path / "s.csv"
+    assert main(["sweep", "--family", *family, "--p", "0.5", "--d", "2",
+                 "--num-seeds", num_seeds, "--out", str(out)]) == 2
+    assert not out.exists()
+    assert "random frames per (m, n) must be in 1..inf" in capsys.readouterr().err
+
+
+def test_sweep_pools_ks_eigenvalues_without_per_trial_spectra(tmp_path, monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("sweep built per-trial spectra")
+
+    for module in (cli, spectral):
+        monkeypatch.setattr(module, "subset_spectrum_samples", forbidden)
+        monkeypatch.setattr(module, "pool_eigenvalues", forbidden)
+    out = tmp_path / "s.csv"
+    assert main(["sweep", "--family", "random", "--m", "2", "--n", "6", "--p", "0.5",
+                 "--d", "2", "--trials", "20", "--seed", "1", "--out", str(out)]) == 0
+    (row,) = read_csv(str(out))[1][1:]
+    assert 0.0 < float(row[9]) <= 1.0 and row[10] == ""
+
+
+def test_non_finite_slack_is_a_validation_error(etf_file, tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(bounds, "expected_moment", lambda frame, p, d: float("nan"))
+    out = tmp_path / "b.json"
+    assert main(["bound", "--frame", etf_file, "--p", "0.5", "--d", "2", "--out", str(out)]) == 2
+    assert not out.exists()
+    assert "slack must be finite" in capsys.readouterr().err
+    assert main(["sweep", "--family", "simplex", "--m", "2", "--p", "0.5", "--d", "2,3",
+                 "--out", str(out)]) == 0
+    data = read_csv(str(out))[1][1:]
+    assert len(data) == 2
+    for r in data:
+        assert r[6:9] == ["", "", ""] and "slack must be finite" in r[10]
+
+
+def test_bound_refuses_to_write_non_finite_json(etf_file, tmp_path, monkeypatch, capsys):
+    nan = float("nan")
+    report = BoundReport(moment=nan, bound=0.5, slack=nan, equality_class="strict",
+                         params=BoundParams(m=2, n=3, p=0.5, d=2))
+    monkeypatch.setattr(cli, "check_theorem", lambda *args, **kwargs: report)
+    out = tmp_path / "b.json"
+    assert main(["bound", "--frame", etf_file, "--p", "0.5", "--d", "2", "--out", str(out)]) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
 
 
 def test_invariants_built_once_per_frame(etf_file, tmp_path, monkeypatch):

@@ -352,3 +352,37 @@ def test_cdf_at_the_atom_holds_the_whole_bulk_when_r_plus_rounds_above_it():
     assert sup.r_plus > sup.atom_location
     left = cdf_many([sup.atom_location], params, left=True)[0]
     assert abs(left - bulk_mass(params)) <= 1e-12
+
+
+def one_shot_integrand(params, sup):
+    """The bulk theta-integrand as one whole-array expression: the reference
+    that manova's blocked, in-place evaluation must match bit for bit."""
+    g, p = params.gamma, params.p
+    w = sup.r_plus - sup.r_minus
+    edge_plus = (math.sqrt((1.0 - p) * (1.0 - g)) - math.sqrt(p * g)) ** 2
+    scale = g * w * w / (math.pi * min(p, g))
+
+    def fn(theta, f=None):
+        s2 = np.sin(theta) ** 2
+        c2 = np.cos(theta) ** 2
+        t = sup.r_minus + w * s2
+        val = scale * s2 * c2 / (np.maximum(t, 1e-300) * (edge_plus + g * w * c2))
+        return val if f is None else val * f(t)
+
+    return fn
+
+
+@pytest.mark.parametrize("blocks, offset", [(0, 1), (1, -1), (1, 0), (1, 1), (3, 5)])
+@pytest.mark.parametrize("gamma, p", [(0.5, 0.5), (0.25, 0.75), (0.1, 0.9), (0.9, 0.3)])
+def test_blocked_integrand_is_bit_identical_to_one_shot(blocks, offset, gamma, p):
+    size = blocks * manova._INTEGRAND_BLOCK + offset
+    params = ManovaParams(gamma=gamma, p=p)
+    sup = support(params)
+    theta = np.random.default_rng(size).uniform(0.0, math.pi / 2, size)
+    theta[0] = 0.0  # t = r-, which is 0 at gamma = p: the clamped denominator
+    blocked = manova._bulk_integrand(params, sup)
+    reference = one_shot_integrand(params, sup)
+    for f in (None, lambda t: t**3):
+        got, want = blocked(theta, f), reference(theta, f)
+        assert got.shape == want.shape == (size,)
+        assert got.tobytes() == want.tobytes()

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from ewb import (
@@ -15,7 +17,9 @@ from ewb import (
     keep_masks,
     ks_distance,
     montecarlo_moment,
+    erasure_moments,
     pool_eigenvalues,
+    pooled_subset_eigenvalues,
     quantile_many,
     random_frame,
     simplex_etf,
@@ -287,3 +291,34 @@ def test_ks_distance_left_limits_only_at_the_jumps(gamma, p):
         pooled = np.concatenate([quantile_many(rng.uniform(size=size), params),
                                  np.repeat(near, rng.integers(1, 20, near.size))])
         assert ks_distance(pooled, params) == ks_from_two_full_cdf_calls(pooled, params)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    field=st.sampled_from(["real", "complex"]),
+    m=st.integers(min_value=1, max_value=5),
+    extra=st.integers(min_value=0, max_value=6),
+    p=st.sampled_from([0.0, 0.1, 0.5, 0.9, 1.0]),
+    trials=st.integers(min_value=1, max_value=40),
+    rows=st.sampled_from([None, 1, 3, 7]),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_property_pooled_route_is_the_pool_of_the_spectra(field, m, extra, p, trials, rows, seed):
+    # extra = 0 gives m = n; p = 0 and small p * n give trials with |S| = 0
+    frame = random_frame(m, m + extra, field, seed=seed)
+    model = ErasureModel(p=p, seed=seed)
+    with pytest.MonkeyPatch.context() as mp:
+        if rows is not None:
+            # `rows` operators per block: 8n mask bytes plus the m x m operator per row
+            per_row = 8 * frame.n + frame.entries.itemsize * m * m
+            mp.setattr(erasure_moments, "OPERATOR_BLOCK_BYTES", rows * per_row)
+        got = pooled_subset_eigenvalues(frame, model, trials)
+        want = pool_eigenvalues(subset_spectrum_samples(frame, model, trials), frame.m)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def test_pooled_route_validation(mercedes_benz):
+    with pytest.raises(ValueError):
+        pooled_subset_eigenvalues(mercedes_benz, ErasureModel(p=0.5), 0)
+    assert pooled_subset_eigenvalues(mercedes_benz, ErasureModel(p=0.0), 5).size == 0
