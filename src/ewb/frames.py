@@ -157,6 +157,7 @@ def frame_invariants(frame: Frame) -> FrameInvariants:
     sq = np.abs(g) ** 2
     off = sq[~np.eye(n, dtype=bool)]  # empty when n = 1
     np.fill_diagonal(sq, 0.0)
+    max_sq = float(off.max(initial=0.0))
     return FrameInvariants(
         gram=GramMatrix(n=n, entries=g),
         ffh=ffh,
@@ -164,8 +165,9 @@ def frame_invariants(frame: Frame) -> FrameInvariants:
         a22=float(sq.sum()) / n,
         s4=float((sq**2).sum()) / n,
         q=float((sq.sum(axis=1) ** 2).sum()) / n,
-        rms_sq=float(off.sum() / max(n * (n - 1), 1)),
-        max_sq=float(off.max(initial=0.0)),
+        # the rounded mean of nearly equal values can exceed their max
+        rms_sq=min(float(off.sum() / max(n * (n - 1), 1)), max_sq),
+        max_sq=max_sq,
         etf_gap=float(np.max(np.abs(off - welch_floor(m, n)), initial=0.0)),
         utf_residual=float(np.linalg.norm(ffh - (n / m) * np.eye(m))),
     )

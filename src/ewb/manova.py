@@ -13,6 +13,11 @@ Moments are reported in the same normalization as the erased-frame moments
 (divide by the full frame size n): the d-th moment is min(p, gamma) times
 the law's raw d-th moment, which makes the first moment exactly p.
 
+MANOVA(gamma, p) is the law of PQP for free projections with traces p and
+gamma (Haikin, Zamir & Gavish, PNAS 2017): multiplying their S-transforms
+and inverting by Lagrange gives moment_closed one exact series for every
+order, and moment_numeric is its independent quadrature oracle.
+
 Quadrature substitutes t = r- + w sin^2(theta): the square-root edge factors
 become w sin(theta) cos(theta) and the 1 - gamma t factor becomes
 (1 - gamma r+) + gamma w cos^2(theta) with the cancellation-free identity
@@ -157,36 +162,17 @@ def _bulk_integrand(params: ManovaParams, sup: ManovaSupport):
     w = sup.r_plus - sup.r_minus
     edge_plus = (math.sqrt((1.0 - p) * (1.0 - g)) - math.sqrt(p * g)) ** 2
     scale = g * w * w / (math.pi * min(p, g))
-    gw = g * w
 
     def fn(theta, f=None):
-        # scale s2 c2 / (max(t, 1e-300) (edge_plus + gw c2)) [* f(t)], one
-        # block at a time in place, in the operation order of that one-shot
-        # expression, so every value is bit-identical to it
         out = np.empty(theta.shape)
-        size = min(theta.size, _INTEGRAND_BLOCK)
-        s2, c2, t = np.empty(size), np.empty(size), np.empty(size)
         for lo in range(0, theta.size, _INTEGRAND_BLOCK):
             th = theta[lo : lo + _INTEGRAND_BLOCK]
-            k = th.size
-            s, c, tk, val = s2[:k], c2[:k], t[:k], out[lo : lo + k]
-            np.sin(th, out=s)
-            np.multiply(s, s, out=s)
-            np.cos(th, out=c)
-            np.multiply(c, c, out=c)
-            np.multiply(s, w, out=tk)
-            np.add(tk, sup.r_minus, out=tk)
-            np.multiply(s, scale, out=val)
-            np.multiply(val, c, out=val)
+            s2, c2 = np.sin(th) ** 2, np.cos(th) ** 2
+            t = sup.r_minus + w * s2
             # theta = 0 with r- = 0 gives t = 0 and a zero numerator; clamp
             # the denominator so the 0/0 resolves to the correct limit 0
-            np.maximum(tk, 1e-300, out=s)
-            np.multiply(c, gw, out=c)
-            np.add(c, edge_plus, out=c)
-            np.multiply(s, c, out=s)
-            np.divide(val, s, out=val)
-            if f is not None:
-                np.multiply(val, f(tk), out=val)
+            val = scale * s2 * c2 / (np.maximum(t, 1e-300) * (edge_plus + g * w * c2))
+            out[lo : lo + th.size] = val if f is None else val * f(t)
         return out
 
     return fn
@@ -224,26 +210,25 @@ def bulk_mass(params: ManovaParams) -> float:
 
 
 def moment_closed(params: ManovaParams, d: int) -> float:
-    """Closed-form d-th moment (d <= 4), normalized by full dimension n.
-
-    At p = 1 these collapse to (x + 1)^(d-1) = (n/m)^(d-1); at gamma = 1
-    (x = 0) every order equals p.
-    """
-    x, p = params.x, params.p
-    if d == 1:
-        return p
-    if d == 2:
-        return p + p * p * x
-    if d == 3:
-        return p + 3.0 * p**2 * x + p**3 * (x * x - x)
-    if d == 4:
-        return (
-            p
-            + 6.0 * p**2 * x
-            + p**3 * (6.0 * x * x - 4.0 * x)
-            + p**4 * (x**3 - 3.0 * x * x + x)
-        )
-    raise ValueError("moment order must be 1..4 (no closed form shipped above 4)")
+    """d-th moment for every d >= 1, normalized by full dimension n:
+    m_d = (1/d) [z^(d-1)] ((p + z)(1 + (1 + x) z) / (1 + z))^d, x = 1/gamma - 1,
+    evaluated in integers at the floats p and x and rounded once, so d <= 4
+    gives the paper's four polynomials correctly rounded.  The cost grows
+    like d^3; a moment beyond the float range raises ValueError."""
+    if d < 1 or d != int(d):
+        raise ValueError("moment order must be a positive integer")
+    d = int(d)
+    try:
+        P, a = params.p.as_integer_ratio()
+        X, c = params.x.as_integer_ratio()
+        # z^i coefficients, i < d, of (P + a z)^d, (c + (c + X) z)^d and (1 + z)^-d
+        u = [math.comb(d, i) * P ** (d - i) * a**i for i in range(d)]
+        v = [math.comb(d, i) * c ** (d - i) * (c + X) ** i for i in range(d)]
+        r = [(-1) ** i * math.comb(d - 1 + i, i) for i in range(d)]
+        vr = [sum(r[k] * v[j - k] for k in range(j + 1)) for j in range(d)]
+        return sum(u[i] * vr[d - 1 - i] for i in range(d)) / (d * (a * c) ** d)
+    except OverflowError:
+        raise ValueError(f"the order-{d} moment at {params} overflows a float") from None
 
 
 def moment_numeric(params: ManovaParams, d: int, tol: float = 1e-8) -> float:

@@ -5,6 +5,8 @@ generator: a (seed, stream) pair maps to an independent stream through
 numpy's SeedSequence spawn keys, and draws at a fixed position in a stream
 are a pure function of (seed, stream, position).  This is what makes
 Monte-Carlo results independent of execution schedule.
+Each kind of draw has its own stream, so equal seeds never share draws:
+random_frame's entries use stream 0 and keep_masks stream 1.
 """
 
 from __future__ import annotations
@@ -34,5 +36,5 @@ def keep_masks(seed: int, trials: int, n: int, p: float) -> np.ndarray:
         return np.zeros((trials, n), dtype=bool)
     if p >= 1.0:
         return np.ones((trials, n), dtype=bool)
-    rng = make_rng(seed, stream=0)
+    rng = make_rng(seed, stream=1)
     return rng.random((trials, n)) < p

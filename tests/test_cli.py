@@ -281,10 +281,29 @@ def test_manova_rejects_bad_gamma():
 @pytest.mark.parametrize("extra", [[], ["--grid", "5"]])
 def test_manova_rejects_bad_order_before_any_output(tmp_path, capsys, extra):
     out = tmp_path / "t.csv"
-    assert main(["manova", "--gamma", "0.5", "--p", "0.5", "--d", "1,5",
-                 "--out", str(out)] + extra) == 2
+    for orders in ("1,65", "0"):
+        assert main(["manova", "--gamma", "0.5", "--p", "0.5", "--d", orders,
+                     "--out", str(out)] + extra) == 2
+        assert not out.exists()
+        assert "law orders must be in 1..64" in capsys.readouterr().err
+
+
+def test_manova_moment_table_past_order_four(tmp_path):
+    out = tmp_path / "t.csv"
+    assert main(["manova", "--gamma", "0.4", "--p", "0.3", "--d", "8,5,6",
+                 "--out", str(out)]) == 0
+    _, rows = read_csv(str(out))
+    assert [int(r[2]) for r in rows[1:]] == [5, 6, 8]
+    for r in rows[1:]:
+        assert float(r[5]) <= 1e-12 * float(r[4])
+
+
+def test_manova_quadrature_failure_exits_2_without_output(tmp_path, capsys):
+    out = tmp_path / "t.csv"
+    assert main(["manova", "--gamma", "1e-06", "--p", "0.6225", "--d", "4",
+                 "--out", str(out)]) == 2
     assert not out.exists()
-    assert "law orders must be in 1..4" in capsys.readouterr().err
+    assert "achieved error estimate" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("grid", ["0", "-3"])

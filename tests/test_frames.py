@@ -2,7 +2,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -348,6 +348,8 @@ def test_save_frame_rejects_extra_replacing_frame_keys(tmp_path):
     seed=st.integers(min_value=0, max_value=2**32 - 1),
     field=st.sampled_from(["real", "complex"]),
 )
+# round-off put the mean of the off-diagonal |c|^2 one ulp above their max here
+@example(m=1, extra=2, seed=2025574, field="complex")
 def test_property_rms_never_below_welch_floor(m, extra, seed, field):
     f = random_frame(m, m + extra, field, seed=seed)
     rep = coherence(f)

@@ -1,7 +1,10 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from ewb import (
@@ -119,22 +122,66 @@ def test_moment_closed_examples():
     assert_allclose(moment_closed(ManovaParams(gamma=2.0 / 3.0, p=0.5), 4), 1.1796875, atol=0)
     # p = 1: every kept spectrum is the flat tight-frame one, m_d = (1/gamma)^(d-1)
     for gamma in (0.25, 0.5, 0.8):
-        for d in (1, 2, 3, 4):
+        for d in range(1, 9):
             assert_allclose(
                 moment_closed(ManovaParams(gamma=gamma, p=1.0), d),
                 (1.0 / gamma) ** (d - 1),
                 rtol=1e-14,
             )
     # gamma = 1: orthonormal basis, m_d = p for every order
-    for d in (1, 2, 3, 4):
+    for d in range(1, 9):
         assert_allclose(moment_closed(ManovaParams(gamma=1.0, p=0.31), d), 0.31, atol=1e-15)
 
 
 def test_moment_closed_rejects_high_order():
     params = ManovaParams(gamma=0.5, p=0.5)
-    for d in (0, 5, -1):
+    for d in (0, -1, 2.5):
         with pytest.raises(ValueError):
             moment_closed(params, d)
+    assert moment_closed(params, 2.0) == moment_closed(params, 2)
+
+
+def paper_moment(params, d):
+    """The paper's polynomial for order d <= 4, evaluated exactly at the
+    float values of p and x and rounded once."""
+    p, x = Fraction(params.p), Fraction(params.x)
+    return float([
+        p,
+        p + p * p * x,
+        p + 3 * p**2 * x + p**3 * (x * x - x),
+        p + 6 * p**2 * x + p**3 * (6 * x * x - 4 * x) + p**4 * (x**3 - 3 * x * x + x),
+    ][d - 1])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    gamma=st.floats(min_value=1e-6, max_value=1.0),
+    p=st.floats(min_value=0.0, max_value=1.0),
+    d=st.integers(min_value=1, max_value=4),
+)
+@example(gamma=0.5, p=0.0, d=4)
+@example(gamma=0.3, p=1.0, d=4)
+@example(gamma=1.0, p=0.31, d=4)
+@example(gamma=0.4, p=0.6, d=4)  # p + gamma = 1: the bulk touches the atom
+@example(gamma=2.0 / 3.0, p=0.5, d=4)
+def test_property_series_is_the_paper_polynomials_correctly_rounded(gamma, p, d):
+    params = ManovaParams(gamma=gamma, p=p)
+    assert moment_closed(params, d) == paper_moment(params, d)
+
+
+def test_series_matches_quadrature_past_order_four():
+    for gamma in (0.1, 0.25, 0.5, 2.0 / 3.0, 0.9, 1.0):
+        for p in (0.0, 0.05, 0.5, 0.6, 0.95, 1.0):
+            params = ManovaParams(gamma=gamma, p=p)
+            for d in range(5, 9):
+                assert_allclose(moment_closed(params, d), moment_numeric(params, d, tol=1e-12),
+                                rtol=1e-13, atol=0, err_msg=f"{gamma} {p} {d}")
+
+
+@pytest.mark.parametrize("gamma, d", [(1e-300, 4), (1e-200, 3), (5e-324, 1)])
+def test_moment_closed_overflow_raises(gamma, d):
+    with pytest.raises(ValueError, match="overflows a float"):
+        moment_closed(ManovaParams(gamma=gamma, p=0.5), d)
 
 
 def test_moment_closed_monotone_in_p():
@@ -356,7 +403,7 @@ def test_cdf_at_the_atom_holds_the_whole_bulk_when_r_plus_rounds_above_it():
 
 def one_shot_integrand(params, sup):
     """The bulk theta-integrand as one whole-array expression: the reference
-    that manova's blocked, in-place evaluation must match bit for bit."""
+    that manova's blocked evaluation must match bit for bit."""
     g, p = params.gamma, params.p
     w = sup.r_plus - sup.r_minus
     edge_plus = (math.sqrt((1.0 - p) * (1.0 - g)) - math.sqrt(p * g)) ** 2

@@ -1,0 +1,24 @@
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ewb import keep_masks, make_rng
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**63 - 1),
+    trials=st.integers(min_value=1, max_value=6),
+    more=st.integers(min_value=1, max_value=6),
+    n=st.integers(min_value=64, max_value=80),
+    p=st.floats(min_value=0.05, max_value=0.95),
+)
+def test_property_masks_have_their_own_stream(seed, trials, more, n, p):
+    masks = keep_masks(seed, trials, n, 0.5)
+    # at p = 1/2 a mask entry is the top bit of its uniform; every row holds at
+    # least 64 of them, so equal rows would mean the streams share draws
+    frame_draws = make_rng(seed, stream=0).random((trials, n)) < 0.5
+    assert all((row != other).any() for row, other in zip(masks, frame_draws))
+    # row t depends only on (seed, t), not on how many trials are drawn
+    fewer, longer = keep_masks(seed, trials, n, p), keep_masks(seed, trials + more, n, p)
+    np.testing.assert_array_equal(longer[:trials], fewer)
