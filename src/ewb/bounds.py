@@ -30,16 +30,9 @@ DEFAULT_TOL = 1e-9
 
 
 @dataclass(frozen=True)
-class BoundParams:
-    m: int
-    n: int
-    p: float
-    d: int
-
-
-@dataclass(frozen=True)
 class BoundReport:
-    """One moment-versus-bound comparison.
+    """One moment-versus-bound comparison for an m-by-n frame at keep
+    probability p and order d; to_dict() is its flat field dict.
 
     equality_class is "violation" iff slack < -tol (an implementation bug or
     an invalid frame -- never expected); "ETF-equality"/"UTF-equality" iff
@@ -48,21 +41,17 @@ class BoundReport:
     never classified: building the report raises ValueError.
     """
 
+    m: int
+    n: int
+    p: float
+    d: int
     moment: float
     bound: float
     slack: float
     equality_class: str
-    params: BoundParams
 
     def to_dict(self) -> dict:
-        out = asdict(self.params)
-        out.update(
-            moment=self.moment,
-            bound=self.bound,
-            slack=self.slack,
-            equality_class=self.equality_class,
-        )
-        return out
+        return asdict(self)
 
 
 def erasure_welch_bound(m: int, n: int, p: float, d: int) -> float:
@@ -104,11 +93,11 @@ def _report(frame, moment, bound, p, d, tol, equality_tol, violation_tol) -> Bou
         raise ValueError(f"tolerances must be finite and >= 0, got {eq} and {vi}")
     slack = moment - bound
     return BoundReport(
+        m=frame.m, n=frame.n, p=float(p), d=d,
         moment=moment,
         bound=bound,
         slack=slack,
         equality_class=_classify(frame, slack, eq, vi),
-        params=BoundParams(m=frame.m, n=frame.n, p=float(p), d=d),
     )
 
 
@@ -144,8 +133,9 @@ def lemma1_check(
     This is the p = 1 case of check_theorem but admits any positive integer
     order (d = 1 is degenerate: both sides are 1 for every unit-norm frame).
     """
-    if d < 1:
+    if d < 1 or not float(d).is_integer():
         raise ValueError("moment order must be a positive integer")
+    d = int(d)
     moment = trace_moment(frame, d)
     bound = (frame.n / frame.m) ** (d - 1)
     return _report(frame, moment, bound, 1.0, d, tol, equality_tol, violation_tol)

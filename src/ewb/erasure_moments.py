@@ -82,8 +82,9 @@ def trace_moment(frame: Frame, d: int) -> float:
     Works on the m-by-m factor FF' (m <= n); equals the moment of the
     unerased frame, i.e. m_d at p = 1.  Orders <= 4 are cached per frame.
     """
-    if d < 1:
+    if d < 1 or not float(d).is_integer():
         raise ValueError("moment order must be a positive integer")
+    d = int(d)
     inv = frame.invariants
     if d <= len(inv.traces):
         return inv.traces[d - 1]
@@ -100,8 +101,9 @@ def moment_polynomial(frame: Frame, d: int) -> MomentPolynomial:
     a_{4,2} = 6 a_{2,2} + S4, a_{4,3} = 4 a_{3,3} + 2 Q - 2 S4, and
     a_{4,4} closes against T_4; T_d, S4 and Q are cached per frame.
     """
-    if not 1 <= d <= 4:
+    if not 1 <= d <= 4 or not float(d).is_integer():
         raise ValueError("moment order must be 1..4 (no closed coefficient form above 4)")
+    d = int(d)
     if d == 1:
         return MomentPolynomial(d=1, coeffs=(1.0,))
     inv = frame.invariants
@@ -163,8 +165,9 @@ class BruteforceTable:
     subset_sums: np.ndarray
 
     def moment(self, p: float, d: int) -> float:
-        if not 1 <= d <= self.d_max:
+        if not 1 <= d <= self.d_max or not float(d).is_integer():
             raise ValueError(f"order {d} not tabulated (d_max={self.d_max})")
+        d = int(d)
         if not 0.0 <= p <= 1.0:
             raise ValueError(f"keep probability must be in [0, 1], got {p}")
         n = self.n
@@ -184,8 +187,9 @@ def bruteforce_table(frame: Frame, d_max: int = 4, chunk: int = 8192) -> Brutefo
     n = frame.n
     if n > BRUTEFORCE_MAX_N:
         raise ValueError(f"brute force needs n <= {BRUTEFORCE_MAX_N}, got n={n}")
-    if d_max < 1:
+    if d_max < 1 or not float(d_max).is_integer():
         raise ValueError("moment order must be a positive integer")
+    d_max = int(d_max)
     partial = [[[] for _ in range(d_max)] for _ in range(n + 1)]
     bits = np.arange(n, dtype=np.int64)
     total = 1 << n
@@ -221,8 +225,9 @@ def montecarlo_moment(frame: Frame, model: ErasureModel, d: int, trials: int) ->
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    if d < 1:
+    if d < 1 or not float(d).is_integer():
         raise ValueError("moment order must be a positive integer")
+    d = int(d)
     masks = keep_masks(model.seed, trials, frame.n, model.p)
     vals = _erased_trace_powers(frame, masks, d)[-1]
     stderr = float(vals.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0

@@ -1,15 +1,16 @@
 """Unit-norm frames, Gram matrices, coherence, and frame constructions.
 
 A frame is an m-by-n matrix (n >= m) whose columns are unit-norm vectors in
-R^m or C^m.  This module provides the Frame/GramMatrix containers, the
-classical coherence measures with their Welch floor, tightness and
-equiangularity predicates, two exact ETF families (simplex and a
-difference-set harmonic family), random frames, an alternating-projection
-map onto the uniform tight frames, and a JSON/CSV file format.
+R^m or C^m.  This module provides the Frame container, its Gram matrix as a
+plain read-only array, the classical coherence measures with their Welch
+floor, tightness and equiangularity predicates, two exact ETF families
+(simplex and a difference-set harmonic family), random frames, an
+alternating-projection map onto the uniform tight frames, and a JSON/CSV
+file format.
 
-All functions are pure; Frame and GramMatrix are immutable after
-construction and safe to share across threads (a Frame caches its
-Gram-derived invariants on first use; a race only computes them twice).
+All functions are pure; a Frame is immutable after construction and safe to
+share across threads (it caches its Gram-derived invariants, the Gram matrix
+among them, on first use; a race only computes them twice).
 """
 
 from __future__ import annotations
@@ -85,22 +86,6 @@ class Frame:
 
 
 @dataclass(frozen=True)
-class GramMatrix:
-    """n-by-n cross-correlation matrix, exactly Hermitian with unit diagonal."""
-
-    n: int
-    entries: np.ndarray
-
-    def __post_init__(self):
-        ent = np.asarray(self.entries)
-        if ent.shape != (self.n, self.n):
-            raise ValueError("Gram entries must be n x n")
-        ent = ent.copy()
-        ent.setflags(write=False)
-        object.__setattr__(self, "entries", ent)
-
-
-@dataclass(frozen=True)
 class CoherenceReport:
     """Squared rms and max cross-correlation plus the Welch floor (n-m)/((n-1)m)."""
 
@@ -128,13 +113,14 @@ def trace_powers(a: np.ndarray, n: int, d_max: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FrameInvariants:
-    """What moments, bounds and predicates read: traces[d-1] = (1/n) tr((FF')^d)
+    """What moments, bounds and predicates read: gram and ffh are the read-only
+    n x n Gram matrix F'F and m x m FF'; traces[d-1] = (1/n) tr((FF')^d)
     for d <= 4; over off-diagonal Gram entries c, a22, s4 and q are (1/n) sum
     |c|^2, (1/n) sum |c|^4 and (1/n) sum_i (sum_j |c_ij|^2)^2, rms_sq/max_sq
     the mean/max |c|^2 and etf_gap max ||c|^2 - welch_floor| (0 at n = 1);
     utf_residual is the Frobenius norm of FF' - (n/m) I."""
 
-    gram: GramMatrix
+    gram: np.ndarray
     ffh: np.ndarray
     traces: tuple
     a22: float
@@ -153,13 +139,14 @@ def frame_invariants(frame: Frame) -> FrameInvariants:
     upper = np.triu(g, 1)
     g = upper + upper.conj().T + np.eye(n, dtype=g.dtype)
     ffh = ent @ ent.conj().T
+    g.setflags(write=False)
     ffh.setflags(write=False)
     sq = np.abs(g) ** 2
     off = sq[~np.eye(n, dtype=bool)]  # empty when n = 1
     np.fill_diagonal(sq, 0.0)
     max_sq = float(off.max(initial=0.0))
     return FrameInvariants(
-        gram=GramMatrix(n=n, entries=g),
+        gram=g,
         ffh=ffh,
         traces=tuple(trace_powers(ffh, n, 4).tolist()),
         a22=float(sq.sum()) / n,
@@ -173,8 +160,10 @@ def frame_invariants(frame: Frame) -> FrameInvariants:
     )
 
 
-def gram(frame: Frame) -> GramMatrix:
-    """Cross-correlation matrix G[i,j] = <f_i, f_j> (conjugated in the first slot).
+def gram(frame: Frame) -> np.ndarray:
+    """Cross-correlation matrix G[i,j] = <f_i, f_j> (conjugated in the first slot)
+    as an n x n array: the one the frame caches, read-only, so every call
+    returns the same object.
 
     The diagonal is pinned to exactly 1 and conjugate symmetry is enforced
     structurally (the lower triangle is the conjugate of the upper), so the
@@ -313,8 +302,8 @@ def nearest_utf(frame: Frame, max_iters: int = 500, tol: float = 1e-9) -> Neares
     Non-convergence is reported through converged=False; the last iterate is
     returned either way.
     """
-    if max_iters < 1 or tol <= 0:
-        raise ValueError("need max_iters >= 1 and tol > 0")
+    if max_iters < 1 or not 0.0 < tol < np.inf:
+        raise ValueError(f"need max_iters >= 1 and 0 < tol < inf, got {max_iters} and {tol}")
     m, n = frame.m, frame.n
     ent = np.array(frame.entries)
     cov, residual = frame.invariants.ffh, frame.invariants.utf_residual
@@ -381,7 +370,8 @@ def save_frame(frame: Frame, path: str | Path, extra: dict | None = None) -> Non
 
     The bytes equal json.dumps({"field", "m", "n", "data", **extra},
     indent=1) + "\n"; the data array is streamed one row at a time, so no
-    text or nested list of the whole frame is held in memory.
+    text or nested list of the whole frame is held in memory.  A NaN or
+    infinite value in extra raises ValueError before the file is created.
     """
     extra = extra or {}
     if any(k in extra for k in _FRAME_KEYS):
@@ -390,7 +380,8 @@ def save_frame(frame: Frame, path: str | Path, extra: dict | None = None) -> Non
     # place, and at one space of indent it cannot match a nested key
     marker = '\n "data": null'
     head, tail = json.dumps(
-        {"field": frame.field, "m": frame.m, "n": frame.n, "data": None, **extra}, indent=1
+        {"field": frame.field, "m": frame.m, "n": frame.n, "data": None, **extra},
+        indent=1, allow_nan=False,
     ).split(marker)
     if frame.field == REAL:
         rows, cell = frame.entries, "{}"

@@ -215,7 +215,7 @@ def moment_closed(params: ManovaParams, d: int) -> float:
     evaluated in integers at the floats p and x and rounded once, so d <= 4
     gives the paper's four polynomials correctly rounded.  The cost grows
     like d^3; a moment beyond the float range raises ValueError."""
-    if d < 1 or d != int(d):
+    if d < 1 or not float(d).is_integer():
         raise ValueError("moment order must be a positive integer")
     d = int(d)
     try:
@@ -234,8 +234,9 @@ def moment_closed(params: ManovaParams, d: int) -> float:
 def moment_numeric(params: ManovaParams, d: int, tol: float = 1e-8) -> float:
     """Quadrature oracle for the d-th moment:
     min(p, gamma) * (integral of t^d rho(t) dt + atom_weight / gamma^d)."""
-    if d < 1:
+    if d < 1 or not float(d).is_integer():
         raise ValueError("moment order must be a positive integer")
+    d = int(d)
     sup = support(params)
     bulk = 0.0
     if sup.has_bulk:
@@ -317,7 +318,7 @@ def quantile_many(qs, params: ManovaParams) -> np.ndarray:
     theta, resolution well below any sampling noise at desk scale).
     """
     qs = np.atleast_1d(np.asarray(qs, dtype=float))
-    if np.any((qs < 0.0) | (qs > 1.0)):
+    if not np.all((qs >= 0.0) & (qs <= 1.0)):
         raise ValueError("probability levels must lie in [0, 1]")
     sup = support(params)
     if not sup.has_bulk:

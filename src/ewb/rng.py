@@ -28,13 +28,16 @@ def keep_masks(seed: int, trials: int, n: int, p: float) -> np.ndarray:
     Row i consumes exactly the draws [i*n, (i+1)*n) of the Philox counter,
     so the mask of trial i depends only on (seed, i) and not on how many
     trials are requested or in what order they are consumed.  p = 0 and
-    p = 1 short-circuit the generator entirely.
+    p = 1 short-circuit the generator entirely; any other p outside (0, 1),
+    NaN included, raises ValueError.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    if p <= 0.0:
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"keep probability must be in [0, 1], got {p}")
+    if p == 0.0:
         return np.zeros((trials, n), dtype=bool)
-    if p >= 1.0:
+    if p == 1.0:
         return np.ones((trials, n), dtype=bool)
     rng = make_rng(seed, stream=1)
     return rng.random((trials, n)) < p

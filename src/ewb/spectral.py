@@ -45,6 +45,8 @@ def _checked_eigvalsh(stack: np.ndarray, psd: bool) -> np.ndarray:
     nonincreasing, after the checks that hermitian_eigenvalues documents."""
     mag = np.abs(stack)
     scale = np.maximum(1.0, mag.max(axis=(1, 2)))
+    if not np.isfinite(scale).all():
+        raise ValueError("matrix entries must be finite")
     skew = np.abs(stack - stack.conj().swapaxes(1, 2)).max(axis=(1, 2))
     if np.any(skew > _HERMITIAN_TOL * scale):
         raise ValueError("matrix is not Hermitian within tolerance")
@@ -68,9 +70,9 @@ def hermitian_eigenvalues(a, psd: bool = False) -> Spectrum:
 
     Every call verifies the spectrum against the matrix: sum of eigenvalues
     vs trace and sum of squares vs squared Frobenius norm, both to 1e-8
-    relative.  With psd=True round-off negatives in [-1e-9, 0) are clamped
-    to 0 and anything more negative is rejected (Gram-type inputs are
-    positive semidefinite).
+    relative.  Non-finite entries are rejected.  With psd=True round-off
+    negatives in [-1e-9, 0) are clamped to 0 and anything more negative is
+    rejected (Gram-type inputs are positive semidefinite).
     """
     a = np.asarray(a)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -141,6 +143,8 @@ def ks_distance(pooled, params: ManovaParams) -> float:
     nq = xs.size
     if nq == 0:
         raise ValueError("empty eigenvalue pool")
+    if not np.isfinite(xs).all():
+        raise ValueError("eigenvalue pool must be finite")
     sup = support(params)
     jumps = [loc for loc, _ in sup.jumps]
     # a value within round-off of a jump of the law sits on it

@@ -55,7 +55,7 @@ def test_check_theorem_etf_equality(mercedes_benz):
             rep = check_theorem(mercedes_benz, p, d)
             assert rep.equality_class == ETF_EQUALITY
             assert abs(rep.slack) <= 1e-12
-            assert rep.params.m == 2 and rep.params.n == 3 and rep.params.d == d
+            assert rep.m == 2 and rep.n == 3 and rep.d == d
 
 
 def test_check_theorem_utf_equality_low_orders():

@@ -9,7 +9,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from ewb import bounds, cli, frames, load_frame, spectral
-from ewb.bounds import BoundParams, BoundReport
+from ewb.bounds import BoundReport
 from ewb.cli import SWEEP_FAMILIES, _sweep_frames, build_parser, main
 
 
@@ -407,8 +407,8 @@ def test_non_finite_slack_is_a_validation_error(etf_file, tmp_path, monkeypatch,
 
 def test_bound_refuses_to_write_non_finite_json(etf_file, tmp_path, monkeypatch, capsys):
     nan = float("nan")
-    report = BoundReport(moment=nan, bound=0.5, slack=nan, equality_class="strict",
-                         params=BoundParams(m=2, n=3, p=0.5, d=2))
+    report = BoundReport(m=2, n=3, p=0.5, d=2, moment=nan, bound=0.5, slack=nan,
+                         equality_class="strict")
     monkeypatch.setattr(cli, "check_theorem", lambda *args, **kwargs: report)
     out = tmp_path / "b.json"
     assert main(["bound", "--frame", etf_file, "--p", "0.5", "--d", "2", "--out", str(out)]) == 2
@@ -510,3 +510,95 @@ def test_stdout_output_when_no_out_flag(etf_file, capsys):
     text = capsys.readouterr().out
     assert "p,d,method,value,stderr" in text
     assert "0.625" in text
+
+
+@pytest.mark.parametrize("tol", ["inf", "nan"])
+def test_construct_nearest_utf_rejects_non_finite_tolerance(tmp_path, capsys, tol):
+    src, dst = tmp_path / "src.json", tmp_path / "dst.json"
+    assert main(["construct", "--kind", "random", "--m", "3", "--n", "6", "--seed", "4",
+                 "--out", str(src)]) == 0
+    capsys.readouterr()
+    assert main(["construct", "--kind", "nearest-utf", "--frame", str(src), "--tol", tol,
+                 "--out", str(dst)]) == 2
+    assert "tol" in capsys.readouterr().err
+    assert not dst.exists()
+
+
+def test_construct_refuses_non_finite_manifest_without_a_file(tmp_path, capsys):
+    out = tmp_path / "f.json"
+    assert main(["construct", "--kind", "simplex", "--m", "2", "--tol", "nan",
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert not out.exists()
+
+
+BOUND_SIMPLEX_JSON = """{
+ "frame": {
+  "construction": {
+   "kind": "simplex",
+   "m": 2
+  },
+  "field": "real",
+  "m": 2,
+  "n": 3,
+  "source": "simplex.json"
+ },
+ "manifest": {
+  "command": "bound",
+  "generator": "philox4x64",
+  "params": {
+   "d": [
+    2,
+    3,
+    4
+   ],
+   "frame": "simplex.json",
+   "p": [
+    0.5
+   ],
+   "tol": 1e-09
+  },
+  "version": "0.1.0"
+ },
+ "reports": [
+  {
+   "bound": 0.625,
+   "d": 2,
+   "equality_class": "ETF-equality",
+   "m": 2,
+   "moment": 0.625,
+   "n": 3,
+   "p": 0.5,
+   "slack": 0.0
+  },
+  {
+   "bound": 0.84375,
+   "d": 3,
+   "equality_class": "ETF-equality",
+   "m": 2,
+   "moment": 0.8437500000000002,
+   "n": 3,
+   "p": 0.5,
+   "slack": 2.220446049250313e-16
+  },
+  {
+   "bound": 1.1875,
+   "d": 4,
+   "equality_class": "ETF-equality",
+   "m": 2,
+   "moment": 1.1875000000000004,
+   "n": 3,
+   "p": 0.5,
+   "slack": 4.440892098500626e-16
+  }
+ ]
+}
+"""
+
+
+def test_bound_json_bytes_are_pinned(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(["construct", "--kind", "simplex", "--m", "2", "--out", "simplex.json"]) == 0
+    capsys.readouterr()
+    assert main(["bound", "--frame", "simplex.json", "--p", "0.5", "--d", "2,3,4"]) == 0
+    assert capsys.readouterr().out == BOUND_SIMPLEX_JSON

@@ -224,7 +224,7 @@ def test_property_jensen_pair_inequalities(m, extra, seed):
     # the two averaging inequalities behind the order-4 coefficient bound
     f = random_frame(m, m + extra, "real", seed=seed)
     n = f.n
-    sq = np.abs(gram(f).entries) ** 2
+    sq = np.abs(gram(f)) ** 2
     np.fill_diagonal(sq, 0.0)
     a22 = sq.sum() / n
     s4 = (sq**2).sum() / n
@@ -235,7 +235,7 @@ def test_property_jensen_pair_inequalities(m, extra, seed):
 
 def literal_trace_powers(frame, masks, d_max):
     """(1/n) tr(G_S^d) per mask row from the kept-column Gram submatrix itself."""
-    g = gram(frame).entries
+    g = gram(frame)
     out = np.zeros((d_max, len(masks)))
     for t, row in enumerate(masks):
         idx = np.flatnonzero(row)
@@ -298,3 +298,29 @@ def test_operator_blocks_fit_the_byte_budget(monkeypatch):
     last = list(kernel(f, masks))[-1][-1]
     kept = f.entries[:, masks[-1]]
     assert_allclose(last, kept @ kept.conj().T, rtol=0, atol=1e-12)
+
+
+_F = harmonic_etf(7)
+_LAW = ewb.ManovaParams(gamma=0.5, p=0.5)
+_ORDER_ROUTES = {
+    "trace_moment": lambda d: trace_moment(_F, d),
+    "moment_polynomial": lambda d: moment_polynomial(_F, d),
+    "expected_moment": lambda d: expected_moment(_F, 0.5, d),
+    "montecarlo_moment": lambda d: montecarlo_moment(_F, ErasureModel(p=0.5, seed=3), d, 40),
+    "bruteforce_table": lambda d: bruteforce_table(_F, d_max=d),
+    "BruteforceTable.moment": lambda d: bruteforce_table(_F, d_max=4).moment(0.5, d),
+    "bruteforce_moment": lambda d: bruteforce_moment(_F, 0.5, d),
+    "lemma1_check": lambda d: ewb.lemma1_check(_F, d),
+    "moment_closed": lambda d: ewb.moment_closed(_LAW, d),
+    "moment_numeric": lambda d: ewb.moment_numeric(_LAW, d),
+}
+
+
+@pytest.mark.parametrize("route", sorted(_ORDER_ROUTES))
+def test_every_moment_route_takes_only_integral_orders(route):
+    fn = _ORDER_ROUTES[route]
+    for bad in (2.5, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            fn(bad)
+    # an integral float is the integer order, down to the repr of the result
+    assert repr(fn(2.0)) == repr(fn(2))

@@ -58,18 +58,18 @@ def test_frame_entries_are_immutable():
 
 def test_gram_identity_frame():
     g = gram(Frame(field="real", entries=np.eye(3)))
-    assert np.array_equal(g.entries, np.eye(3))
+    assert np.array_equal(g, np.eye(3))
 
 
 def test_gram_mercedes_benz_offdiagonal(mercedes_benz):
-    g = gram(mercedes_benz).entries
+    g = gram(mercedes_benz)
     off = g[~np.eye(3, dtype=bool)]
     assert_allclose(off, -0.5, atol=1e-12)
 
 
 def test_gram_simplex_offdiagonal_magnitude():
     for m in (2, 3, 5):
-        g = gram(simplex_etf(m)).entries
+        g = gram(simplex_etf(m))
         off = np.abs(g[~np.eye(m + 1, dtype=bool)])
         assert_allclose(off, 1.0 / m, atol=1e-12)
         # |c|^2 equals the Welch floor at n = m + 1
@@ -78,7 +78,7 @@ def test_gram_simplex_offdiagonal_magnitude():
 
 def test_gram_is_exactly_hermitian_with_unit_diagonal():
     f = random_frame(3, 7, "complex", seed=11)
-    g = gram(f).entries
+    g = gram(f)
     assert np.array_equal(g, g.conj().T)
     assert np.array_equal(np.diag(g), np.ones(7))
 
@@ -164,7 +164,7 @@ def test_simplex_m1_is_antipodal_pair():
     f = simplex_etf(1)
     assert f.m == 1 and f.n == 2
     assert_allclose(np.sort(f.entries[0]), [-1.0, 1.0], atol=1e-12)
-    assert_allclose(gram(f).entries[0, 1], -1.0, atol=1e-12)
+    assert_allclose(gram(f)[0, 1], -1.0, atol=1e-12)
 
 
 def test_simplex_m2_matches_mercedes_benz_class():
@@ -376,3 +376,30 @@ def test_property_non_finite_entries_rejected(m, extra, field, bad, imaginary, d
         ent[i, j] = bad
     with pytest.raises(ValueError):
         Frame(field=field, entries=ent)
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_gram_is_the_cached_read_only_array(field):
+    f = random_frame(3, 7, field, seed=11)
+    g = gram(f)
+    assert isinstance(g, np.ndarray) and g.shape == (7, 7)
+    assert not g.flags.writeable
+    assert g is gram(f) is f.invariants.gram
+    assert np.array_equal(g, g.conj().T)
+    assert np.array_equal(np.diag(g), np.ones(7))
+    with pytest.raises(ValueError):
+        g[0, 1] = 0.0
+
+
+@pytest.mark.parametrize("tol", [float("inf"), float("nan"), -1.0])
+def test_nearest_utf_rejects_non_finite_tolerance(tol):
+    with pytest.raises(ValueError, match="tol"):
+        nearest_utf(random_frame(2, 4, "real", seed=0), tol=tol)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_save_frame_rejects_non_finite_extra_without_a_file(tmp_path, bad):
+    path = tmp_path / "f.json"
+    with pytest.raises(ValueError):
+        save_frame(simplex_etf(2), path, extra={"construction": {"residual": bad}})
+    assert not path.exists()

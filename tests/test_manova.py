@@ -433,3 +433,10 @@ def test_blocked_integrand_is_bit_identical_to_one_shot(blocks, offset, gamma, p
         got, want = blocked(theta, f), reference(theta, f)
         assert got.shape == want.shape == (size,)
         assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("qs", [[np.nan], [0.5, np.nan], [np.inf]])
+@pytest.mark.parametrize("gamma, p", [(0.5, 0.5), (1.0, 0.5)])
+def test_quantile_rejects_non_finite_levels(qs, gamma, p):
+    with pytest.raises(ValueError):
+        quantile_many(np.array(qs), ManovaParams(gamma=gamma, p=p))

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -22,3 +23,9 @@ def test_property_masks_have_their_own_stream(seed, trials, more, n, p):
     # row t depends only on (seed, t), not on how many trials are drawn
     fewer, longer = keep_masks(seed, trials, n, p), keep_masks(seed, trials + more, n, p)
     np.testing.assert_array_equal(longer[:trials], fewer)
+
+
+@pytest.mark.parametrize("p", [float("nan"), 1.5, -0.1, float("inf")])
+def test_keep_masks_reject_probability_outside_unit_interval(p):
+    with pytest.raises(ValueError, match="keep probability"):
+        keep_masks(0, 2, 3, p)

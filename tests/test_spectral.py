@@ -68,7 +68,7 @@ def test_eigenvalues_rejects_bad_inputs():
 
 
 def test_eigenvalues_psd_clamp():
-    g = gram(simplex_etf(4)).entries  # rank 4, smallest eigenvalue 0 up to round-off
+    g = gram(simplex_etf(4))  # rank 4, smallest eigenvalue 0 up to round-off
     vals = hermitian_eigenvalues(g, psd=True).values
     assert vals[-1] >= 0.0
     assert_allclose(vals[:4], 1.25, atol=1e-12)
@@ -228,7 +228,7 @@ def test_subset_spectra_match_gram_submatrices(frame, p):
     # literal route: eigenvalues of G[ix_(S, S)] for the same masks
     model = ErasureModel(p=p, seed=6)
     masks = keep_masks(model.seed, 150, frame.n, p)
-    g = gram(frame).entries
+    g = gram(frame)
     specs = subset_spectrum_samples(frame, model, 150)
     for row, spec in zip(masks, specs):
         idx = np.flatnonzero(row)
@@ -322,3 +322,21 @@ def test_pooled_route_validation(mercedes_benz):
     with pytest.raises(ValueError):
         pooled_subset_eigenvalues(mercedes_benz, ErasureModel(p=0.5), 0)
     assert pooled_subset_eigenvalues(mercedes_benz, ErasureModel(p=0.0), 5).size == 0
+
+
+@pytest.mark.parametrize("a", [
+    [[np.nan, 0.0], [0.0, 1.0]],
+    [[np.nan]],
+    [[np.inf, 0.0], [0.0, 1.0]],
+    [[1.0, complex(0.0, np.nan)], [complex(0.0, np.nan), 1.0]],
+])
+@pytest.mark.parametrize("psd", [False, True])
+def test_eigenvalues_reject_non_finite_entries(a, psd):
+    with pytest.raises(ValueError, match="finite"):
+        hermitian_eigenvalues(np.array(a), psd=psd)
+
+
+@pytest.mark.parametrize("pool", [[np.nan, 0.5], [np.inf, 0.5], [0.5, -np.inf]])
+def test_ks_distance_rejects_non_finite_pool(pool):
+    with pytest.raises(ValueError, match="finite"):
+        ks_distance(np.array(pool), ManovaParams(gamma=0.5, p=0.5))
