@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass
 
+from ._checks import integer, within
 from .erasure_moments import expected_moment, trace_moment
 from .frames import Frame, is_etf, is_utf
 from .manova import ManovaParams, delta_correction, moment_closed
@@ -61,10 +62,8 @@ def erasure_welch_bound(m: int, n: int, p: float, d: int) -> float:
     """
     if not 1 <= m <= n:
         raise ValueError(f"need n >= m >= 1, got m={m}, n={n}")
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"keep probability must be in [0, 1], got {p}")
-    if d not in (2, 3, 4):
-        raise ValueError("order must be 2..4")
+    within(p, "keep probability", 0.0, 1.0)
+    d = integer(d, "bound order", 2, 4)
     params = ManovaParams(gamma=m / n, p=p)
     extra = delta_correction(params, d, n) if n >= 2 else 0.0
     return moment_closed(params, d) + extra
@@ -116,6 +115,7 @@ def check_theorem(
     equality tolerance stays tight even when the violation one is loosened).
     Order 1 is excluded: m_1 = p identically, there is nothing to bound.
     """
+    d = integer(d, "bound order", 2, 4)
     moment = expected_moment(frame, p, d)
     bound = erasure_welch_bound(frame.m, frame.n, p, d)
     return _report(frame, moment, bound, p, d, tol, equality_tol, violation_tol)
@@ -133,9 +133,7 @@ def lemma1_check(
     This is the p = 1 case of check_theorem but admits any positive integer
     order (d = 1 is degenerate: both sides are 1 for every unit-norm frame).
     """
-    if d < 1 or not float(d).is_integer():
-        raise ValueError("moment order must be a positive integer")
-    d = int(d)
+    d = integer(d, "moment order")
     moment = trace_moment(frame, d)
     bound = (frame.n / frame.m) ** (d - 1)
     return _report(frame, moment, bound, 1.0, d, tol, equality_tol, violation_tol)

@@ -30,9 +30,9 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import __version__
+from ._checks import within
 from .bounds import VIOLATION, check_theorem
 from .erasure_moments import (
-    BRUTEFORCE_MAX_N,
     ErasureModel,
     bruteforce_table,
     expected_moment,
@@ -93,9 +93,7 @@ _ints = _list_of(int)
 
 def _sorted_within(vals, what: str, lo, hi) -> list:
     """vals sorted, after checking that every value lies in lo..hi (NaN never does)."""
-    if not all(lo <= v <= hi for v in vals):
-        raise ValueError(f"{what} must be in {lo}..{hi}")
-    return sorted(vals)
+    return sorted(within(v, what, lo, hi) for v in vals)
 
 
 def _resolve_seed(args) -> int:
@@ -231,12 +229,7 @@ def cmd_construct(args) -> int:
 def cmd_moments(args) -> int:
     frame, _ = load_frame(args.frame)
     ps = _sorted_within(args.p, "keep probabilities", 0.0, 1.0)
-    hi = 4 if args.method == "poly" else math.inf
-    ds = _sorted_within(args.d, f"method {args.method} orders", 1, hi)
-    if args.method == "brute" and frame.n > BRUTEFORCE_MAX_N:
-        raise ValueError(
-            f"brute force enumerates 2^n patterns and needs n <= {BRUTEFORCE_MAX_N}; this frame has n={frame.n}"
-        )
+    ds = _sorted_within(args.d, "moment orders", 1, math.inf)
     seed = None
     if args.method == "mc":
         if args.trials is None:
@@ -311,7 +304,7 @@ def cmd_manova(args) -> int:
     # moment_closed costs grow like d^3; at d = 64 a row takes milliseconds
     ds = _sorted_within(args.d or [1, 2, 3, 4], "law orders", 1, 64)
     if args.grid is not None:
-        _sorted_within([args.grid], "density grid points", 1, math.inf)
+        within(args.grid, "density grid points", 1, math.inf)
     sup = support(params)
     notes = [f"atom_location={_fmt(sup.atom_location)} atom_weight={_fmt(sup.atom_weight)}"]
     rows = []
@@ -356,8 +349,8 @@ def cmd_sweep(args) -> int:
     ds = _sorted_within(args.d, "sweep orders", 2, 4)
     ps = _sorted_within(args.p, "keep probabilities", 0.0, 1.0)
     if args.trials is not None:
-        _sorted_within([args.trials], "KS trials", 1, math.inf)
-    _sorted_within([args.num_seeds], "random frames per (m, n)", 1, math.inf)
+        within(args.trials, "KS trials", 1, math.inf)
+    within(args.num_seeds, "random frames per (m, n)", 1, math.inf)
     seed = _resolve_seed(args)
 
     violations = 0

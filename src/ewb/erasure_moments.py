@@ -29,10 +29,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._checks import integer, within
 from .frames import Frame, gram, trace_powers  # noqa: F401 (bench/tracing.py wraps gram)
 from .rng import keep_masks
 
 BRUTEFORCE_MAX_N = 24
+# keep patterns per bruteforce_table enumeration block
+BRUTEFORCE_CHUNK = 8192
 
 # Bytes of one erased_operators block: B x n float masks plus B x m x m operators.
 # At 128 KiB every per-block temporary stays below glibc's default mmap
@@ -49,8 +52,7 @@ class ErasureModel:
     seed: int = 0
 
     def __post_init__(self):
-        if not 0.0 <= self.p <= 1.0:
-            raise ValueError(f"keep probability must be in [0, 1], got {self.p}")
+        within(self.p, "keep probability", 0.0, 1.0)
 
 
 @dataclass(frozen=True)
@@ -82,9 +84,7 @@ def trace_moment(frame: Frame, d: int) -> float:
     Works on the m-by-m factor FF' (m <= n); equals the moment of the
     unerased frame, i.e. m_d at p = 1.  Orders <= 4 are cached per frame.
     """
-    if d < 1 or not float(d).is_integer():
-        raise ValueError("moment order must be a positive integer")
-    d = int(d)
+    d = integer(d, "moment order")
     inv = frame.invariants
     if d <= len(inv.traces):
         return inv.traces[d - 1]
@@ -101,9 +101,7 @@ def moment_polynomial(frame: Frame, d: int) -> MomentPolynomial:
     a_{4,2} = 6 a_{2,2} + S4, a_{4,3} = 4 a_{3,3} + 2 Q - 2 S4, and
     a_{4,4} closes against T_4; T_d, S4 and Q are cached per frame.
     """
-    if not 1 <= d <= 4 or not float(d).is_integer():
-        raise ValueError("moment order must be 1..4 (no closed coefficient form above 4)")
-    d = int(d)
+    d = integer(d, "moment order with closed coefficients", 1, 4)
     if d == 1:
         return MomentPolynomial(d=1, coeffs=(1.0,))
     inv = frame.invariants
@@ -121,8 +119,7 @@ def moment_polynomial(frame: Frame, d: int) -> MomentPolynomial:
 
 def expected_moment(frame: Frame, p: float, d: int) -> float:
     """m_d at keep probability p, via the exact coefficient polynomial."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"keep probability must be in [0, 1], got {p}")
+    within(p, "keep probability", 0.0, 1.0)
     return moment_polynomial(frame, d).evaluate(p)
 
 
@@ -165,11 +162,8 @@ class BruteforceTable:
     subset_sums: np.ndarray
 
     def moment(self, p: float, d: int) -> float:
-        if not 1 <= d <= self.d_max or not float(d).is_integer():
-            raise ValueError(f"order {d} not tabulated (d_max={self.d_max})")
-        d = int(d)
-        if not 0.0 <= p <= 1.0:
-            raise ValueError(f"keep probability must be in [0, 1], got {p}")
+        d = integer(d, "tabulated moment order", 1, self.d_max)
+        within(p, "keep probability", 0.0, 1.0)
         n = self.n
         terms = [
             p**k * (1.0 - p) ** (n - k) * self.subset_sums[k, d - 1]
@@ -178,23 +172,22 @@ class BruteforceTable:
         return math.fsum(terms)
 
 
-def bruteforce_table(frame: Frame, d_max: int = 4, chunk: int = 8192) -> BruteforceTable:
-    """Enumerate all 2^n keep patterns once and group trace sums by subset size.
+def bruteforce_table(frame: Frame, d_max: int = 4) -> BruteforceTable:
+    """Enumerate all 2^n keep patterns once, in blocks of BRUTEFORCE_CHUNK,
+    and group trace sums by subset size.
 
     Compensated (fsum) accumulation keeps the result independent of the
-    enumeration chunking to well below 1e-10.
+    block size to well below 1e-10.
     """
     n = frame.n
     if n > BRUTEFORCE_MAX_N:
         raise ValueError(f"brute force needs n <= {BRUTEFORCE_MAX_N}, got n={n}")
-    if d_max < 1 or not float(d_max).is_integer():
-        raise ValueError("moment order must be a positive integer")
-    d_max = int(d_max)
+    d_max = integer(d_max, "moment order")
     partial = [[[] for _ in range(d_max)] for _ in range(n + 1)]
     bits = np.arange(n, dtype=np.int64)
     total = 1 << n
-    for start in range(0, total, chunk):
-        idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
+    for start in range(0, total, BRUTEFORCE_CHUNK):
+        idx = np.arange(start, min(start + BRUTEFORCE_CHUNK, total), dtype=np.int64)
         masks = ((idx[:, None] >> bits[None, :]) & 1).astype(bool)
         vals = _erased_trace_powers(frame, masks, d_max)
         ks = masks.sum(axis=1)
@@ -223,12 +216,9 @@ def montecarlo_moment(frame: Frame, model: ErasureModel, d: int, trials: int) ->
     Deterministic given (model.seed, trials); trial t's pattern depends only
     on the seed and t (counter-derived), never on blocking or schedule.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    if d < 1 or not float(d).is_integer():
-        raise ValueError("moment order must be a positive integer")
-    d = int(d)
+    d = integer(d, "moment order")
     masks = keep_masks(model.seed, trials, frame.n, model.p)
+    trials = len(masks)
     vals = _erased_trace_powers(frame, masks, d)[-1]
     stderr = float(vals.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
     return MomentEstimate(value=float(vals.mean()), stderr=stderr, trials=trials)

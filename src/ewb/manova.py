@@ -40,6 +40,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._checks import integer, within
+
 _NODES, _WEIGHTS = np.polynomial.legendre.leggauss(20)
 _HALF_PI = math.pi / 2.0
 _DEGENERATE_WIDTH = 1e-14
@@ -72,8 +74,7 @@ class ManovaParams:
     def __post_init__(self):
         if not 0.0 < self.gamma <= 1.0:
             raise ValueError(f"gamma must be in (0, 1], got {self.gamma}")
-        if not 0.0 <= self.p <= 1.0:
-            raise ValueError(f"p must be in [0, 1], got {self.p}")
+        within(self.p, "p", 0.0, 1.0)
 
     @property
     def x(self) -> float:
@@ -202,11 +203,12 @@ def _refine(fn, panels: int, tol: float) -> tuple:
 
 def bulk_mass(params: ManovaParams) -> float:
     """Probability carried by the continuous bulk (1 - atom_weight in exact
-    arithmetic); 0 when the bulk is empty."""
-    sup = support(params)
-    if not sup.has_bulk:
+    arithmetic); 0 when the bulk is empty.  It is the total of the cached CDF
+    table, capped at 1 as cdf_many caps it, so it equals cdf_many at the atom
+    from the left."""
+    if not support(params).has_bulk:
         return 0.0
-    return _refine(_bulk_integrand(params, sup), 8, 1e-9)[3]
+    return min(1.0, float(_bulk_table(params)[2][-1]))
 
 
 def moment_closed(params: ManovaParams, d: int) -> float:
@@ -215,9 +217,7 @@ def moment_closed(params: ManovaParams, d: int) -> float:
     evaluated in integers at the floats p and x and rounded once, so d <= 4
     gives the paper's four polynomials correctly rounded.  The cost grows
     like d^3; a moment beyond the float range raises ValueError."""
-    if d < 1 or not float(d).is_integer():
-        raise ValueError("moment order must be a positive integer")
-    d = int(d)
+    d = integer(d, "moment order")
     try:
         P, a = params.p.as_integer_ratio()
         X, c = params.x.as_integer_ratio()
@@ -234,9 +234,7 @@ def moment_closed(params: ManovaParams, d: int) -> float:
 def moment_numeric(params: ManovaParams, d: int, tol: float = 1e-8) -> float:
     """Quadrature oracle for the d-th moment:
     min(p, gamma) * (integral of t^d rho(t) dt + atom_weight / gamma^d)."""
-    if d < 1 or not float(d).is_integer():
-        raise ValueError("moment order must be a positive integer")
-    d = int(d)
+    d = integer(d, "moment order")
     sup = support(params)
     bulk = 0.0
     if sup.has_bulk:
@@ -248,10 +246,8 @@ def moment_numeric(params: ManovaParams, d: int, tol: float = 1e-8) -> float:
 def delta_correction(params: ManovaParams, d: int, n: int) -> float:
     """Finite-size bound correction: 0 for d = 2, 3 and
     p^2 (1-p)^2 x^2 / (n - 1) for d = 4; vanishes as n grows."""
-    if n < 2:
-        raise ValueError("n must be >= 2")
-    if d not in (2, 3, 4):
-        raise ValueError("order must be 2..4")
+    n = integer(n, "n", 2)
+    d = integer(d, "bound order", 2, 4)
     if d < 4:
         return 0.0
     p, x = params.p, params.x

@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from ._checks import integer, within
+
 GENERATOR_NAME = "philox4x64"
 
 
@@ -31,10 +33,8 @@ def keep_masks(seed: int, trials: int, n: int, p: float) -> np.ndarray:
     p = 1 short-circuit the generator entirely; any other p outside (0, 1),
     NaN included, raises ValueError.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"keep probability must be in [0, 1], got {p}")
+    trials = integer(trials, "trials")
+    within(p, "keep probability", 0.0, 1.0)
     if p == 0.0:
         return np.zeros((trials, n), dtype=bool)
     if p == 1.0:

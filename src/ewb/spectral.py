@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._checks import integer
 from .erasure_moments import ErasureModel, erased_operators
 from .frames import Frame, gram  # noqa: F401 (bench/tracing.py wraps gram)
 from .manova import ManovaParams, cdf_many, support
@@ -87,8 +88,6 @@ def hermitian_eigenvalues(a, psd: bool = False) -> Spectrum:
 def _subset_tops(frame: Frame, model: ErasureModel, trials: int) -> tuple:
     """(tops, k): the trials x m checked eigenvalues of the erased frame
     operators, each row nonincreasing, and the kept-column count |S| per trial."""
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
     masks = keep_masks(model.seed, trials, frame.n, model.p)
     tops = np.concatenate(
         [_checked_eigvalsh(ops, psd=True) for ops in erased_operators(frame, masks)]
@@ -124,8 +123,7 @@ def pooled_subset_eigenvalues(frame: Frame, model: ErasureModel, trials: int) ->
 
 def pool_eigenvalues(spectra, m: int) -> np.ndarray:
     """Concatenate the top min(k, m) eigenvalues of each k-point spectrum."""
-    if m < 1:
-        raise ValueError("m must be >= 1")
+    m = integer(m, "m")
     parts = [s.values[:m] for s in spectra]
     if not parts:
         return np.zeros(0)

@@ -133,10 +133,11 @@ def test_bruteforce_table_matches_single_calls(mercedes_benz):
             assert bruteforce_moment(mercedes_benz, p, d) == table.moment(p, d)
 
 
-def test_bruteforce_chunking_invariance(mercedes_benz):
+def test_bruteforce_chunking_invariance(mercedes_benz, monkeypatch):
     f = random_frame(3, 8, "complex", seed=21)
-    a = bruteforce_table(f, d_max=4, chunk=8192).subset_sums
-    b = bruteforce_table(f, d_max=4, chunk=7).subset_sums
+    a = bruteforce_table(f, d_max=4).subset_sums
+    monkeypatch.setattr(erasure_moments, "BRUTEFORCE_CHUNK", 7)
+    b = bruteforce_table(f, d_max=4).subset_sums
     assert_allclose(a, b, rtol=0, atol=1e-12)
 
 
@@ -313,6 +314,9 @@ _ORDER_ROUTES = {
     "lemma1_check": lambda d: ewb.lemma1_check(_F, d),
     "moment_closed": lambda d: ewb.moment_closed(_LAW, d),
     "moment_numeric": lambda d: ewb.moment_numeric(_LAW, d),
+    "check_theorem": lambda d: ewb.check_theorem(_F, 0.5, d),
+    "erasure_welch_bound": lambda d: ewb.erasure_welch_bound(_F.m, _F.n, 0.5, d),
+    "delta_correction": lambda d: ewb.delta_correction(_LAW, d, _F.n),
 }
 
 

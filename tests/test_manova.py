@@ -87,6 +87,13 @@ def test_density_positive_inside_bulk():
     assert all(density(t, params) > 0.0 for t in ts)
 
 
+def test_delta_correction_rejects_non_integral_sizes():
+    params = ManovaParams(gamma=0.5, p=0.5)
+    for n in (float("nan"), 1.5, float("inf")):
+        with pytest.raises(ValueError, match="n must be an integer"):
+            delta_correction(params, 4, n)
+
+
 def test_density_atomic_only_cases():
     for gamma, p in [(0.5, 0.0), (0.5, 1.0), (1.0, 0.5)]:
         with pytest.raises(AtomicOnlyError):
@@ -108,6 +115,17 @@ def test_bulk_plus_atom_is_one():
             params = ManovaParams(gamma=gamma, p=p)
             total = bulk_mass(params) + support(params).atom_weight
             assert abs(total - 1.0) <= 1e-8, (gamma, p, total)
+
+
+def test_bulk_mass_is_the_cdf_table_total():
+    # one integral of the bulk: the CDF just below the atom holds exactly it
+    for gamma in GAMMA_GRID:
+        for p in P_GRID:
+            params = ManovaParams(gamma=gamma, p=p)
+            sup = support(params)
+            if sup.has_bulk:
+                left = cdf_many([sup.atom_location], params, left=True)[0]
+                assert left == bulk_mass(params), (gamma, p)
 
 
 def test_first_moment_is_p():
