@@ -16,7 +16,8 @@ def within(v, what: str, lo, hi):
 
 def integer(v, what: str, lo=1, hi=math.inf) -> int:
     """int(v), after checking that v is an integer in lo..hi: NaN, infinities
-    and 2.5 raise ValueError, 2.0 gives 2."""
-    if not (lo <= v <= hi and float(v).is_integer()):
+    and 2.5 raise ValueError, 2.0 gives 2.  inf % 1 is NaN, so infinities fail
+    the integrality test; ints past the float range pass it exactly."""
+    if not (lo <= v <= hi and v % 1 == 0):
         raise ValueError(f"{what} must be an integer in {lo}..{hi}, got {v}")
     return int(v)

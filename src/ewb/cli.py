@@ -229,7 +229,7 @@ def cmd_construct(args) -> int:
 def cmd_moments(args) -> int:
     frame, _ = load_frame(args.frame)
     ps = _sorted_within(args.p, "keep probabilities", 0.0, 1.0)
-    ds = _sorted_within(args.d, "moment orders", 1, math.inf)
+    ds = _sorted_within(args.d, "moment orders", 1, 64)
     seed = None
     if args.method == "mc":
         if args.trials is None:
@@ -424,7 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
     mo = sub.add_parser("moments", help="erased-moment table for a frame file")
     mo.add_argument("--frame", required=True)
     mo.add_argument("--p", type=_floats, required=True, help="comma list of keep probabilities")
-    mo.add_argument("--d", type=_ints, required=True, help="comma list of moment orders")
+    mo.add_argument("--d", type=_ints, required=True, help="comma list of moment orders in 1..64")
     mo.add_argument("--method", choices=["poly", "brute", "mc"], default="poly")
     mo.add_argument("--trials", type=int)
     mo.add_argument("--seed", type=int)

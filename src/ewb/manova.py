@@ -203,12 +203,12 @@ def _refine(fn, panels: int, tol: float) -> tuple:
 
 def bulk_mass(params: ManovaParams) -> float:
     """Probability carried by the continuous bulk (1 - atom_weight in exact
-    arithmetic); 0 when the bulk is empty.  It is the total of the cached CDF
-    table, capped at 1 as cdf_many caps it, so it equals cdf_many at the atom
-    from the left."""
+    arithmetic); 0 when the bulk is empty.  It is the raw total of the cached
+    CDF table, which cdf_many clips to [0, 1], so cdf_many at the atom from the
+    left is min(1, bulk_mass)."""
     if not support(params).has_bulk:
         return 0.0
-    return min(1.0, float(_bulk_table(params)[2][-1]))
+    return float(_bulk_table(params)[2][-1])
 
 
 def moment_closed(params: ManovaParams, d: int) -> float:

@@ -41,6 +41,7 @@ def test_integer_takes_only_integral_values_in_range(v, limits):
 
 def test_integer_defaults_to_positive_integers():
     assert integer(2.0, "order") == 2
+    assert integer(10**400, "order") == 10**400  # past the float range, exactly
     for bad in (0, -1, 2.5, math.nan, math.inf):
         with pytest.raises(ValueError, match=r"order must be an integer in 1\.\.inf"):
             integer(bad, "order")

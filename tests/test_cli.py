@@ -134,6 +134,16 @@ def test_moments_usage_errors(etf_file, tmp_path, capsys):
     assert err.count("error:") == 4
 
 
+@pytest.mark.parametrize("method", ["poly", "brute", "mc"])
+def test_moments_rejects_orders_past_64(etf_file, capsys, method):
+    # the sampled and enumerated routes multiply out every power up to d, so
+    # an unbounded order would run without end instead of exiting 2
+    for d in ("65", "1" + "0" * 400):
+        assert main(["moments", "--frame", etf_file, "--p", "0.5", "--d", d,
+                     "--method", method, "--trials", "3"]) == 2
+        assert f"moment orders must be in 1..64, got {d}" in capsys.readouterr().err
+
+
 def test_bound_reports_etf_equality(etf_file, tmp_path):
     out = tmp_path / "b.json"
     assert main(["bound", "--frame", etf_file, "--p", "0.25,0.75", "--d", "2,3,4",

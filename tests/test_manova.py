@@ -118,14 +118,16 @@ def test_bulk_plus_atom_is_one():
 
 
 def test_bulk_mass_is_the_cdf_table_total():
-    # one integral of the bulk: the CDF just below the atom holds exactly it
+    # one integral of the bulk: the CDF just below the atom holds exactly it,
+    # clipped to 1 by cdf_many (bulk_mass itself is not clipped, so the mass
+    # checks above still see a table that overshoots 1)
     for gamma in GAMMA_GRID:
         for p in P_GRID:
             params = ManovaParams(gamma=gamma, p=p)
             sup = support(params)
             if sup.has_bulk:
                 left = cdf_many([sup.atom_location], params, left=True)[0]
-                assert left == bulk_mass(params), (gamma, p)
+                assert left == min(1.0, bulk_mass(params)), (gamma, p)
 
 
 def test_first_moment_is_p():
