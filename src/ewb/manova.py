@@ -5,9 +5,21 @@ a continuous bulk
 
     rho(t) = gamma sqrt((t - r-)(r+ - t)) / (2 pi t (1 - gamma t) min(p, gamma))
 
-on [r-, r+] with r+- = (sqrt((p/gamma)(1 - gamma)) +- sqrt(1 - p))^2, plus a
-point mass at 1/gamma of weight (p + gamma - 1)^+ / min(p, gamma).  Bulk and
-atom together carry probability 1.
+on [r-, r+] with r+- = (A +- B)^2, plus a point mass at 1/gamma of weight
+(p + gamma - 1)^+ / min(p, gamma); A, B, C, D = sqrt((p/gamma)(1-gamma)),
+sqrt(1-p), sqrt((1-p)(1-gamma)), sqrt(p gamma) and 1 - gamma r+- = (C -+ D)^2.
+With mu = min(p, gamma, 1-p, 1-gamma), lo = t - r-, hi = r+ - t and
+theta = atan2(sqrt(lo), sqrt(hi)), the bulk CDF is elementary:
+
+    pi min(p, gamma) F(t) = 2 mu theta
+        - |p - gamma| atan2(2 min(A, B) sqrt(lo hi), |A - B| hi + (A + B) lo)
+        + |1 - p - gamma| atan2(2 min(C, D) sqrt(lo hi), (C + D) hi + |C - D| lo)
+
+(the partial-fraction antiderivative of rho, each arctangent difference
+folded into one atan2).  Both arctangents vanish at r+, so the bulk carries
+mu / min(p, gamma) and bulk and atom together carry 1.  The two arctangents
+still cancel to O(sqrt(min(p, gamma))), so F carries round-off of about
+1e-16 / sqrt(min(p, gamma)): the scale at which round-off in r+- moves it.
 
 Moments are reported in the same normalization as the erased-frame moments
 (divide by the full frame size n): the d-th moment is min(p, gamma) times
@@ -16,16 +28,10 @@ the law's raw d-th moment, which makes the first moment exactly p.
 MANOVA(gamma, p) is the law of PQP for free projections with traces p and
 gamma (Haikin, Zamir & Gavish, PNAS 2017): multiplying their S-transforms
 and inverting by Lagrange gives moment_closed one exact series for every
-order, and moment_numeric is its independent quadrature oracle.
-
-Quadrature substitutes t = r- + w sin^2(theta): the square-root edge factors
-become w sin(theta) cos(theta) and the 1 - gamma t factor becomes
-(1 - gamma r+) + gamma w cos^2(theta) with the cancellation-free identity
-1 - gamma r+ = (sqrt((1-p)(1-gamma)) - sqrt(p gamma))^2, so the transformed
-integrand is smooth on [0, pi/2] even when the bulk touches 0 or 1/gamma.
-Every bulk integral (moments, bulk mass, the cached CDF tables) runs through
-one loop, _refine, that doubles composite Gauss-Legendre panels until two
-refinements agree.
+order.  moment_numeric is its independent quadrature oracle: t = r- +
+w sin^2(theta) makes rho dt smooth on [0, pi/2] even when the bulk touches 0
+or 1/gamma, and _refine, which serves only moment_numeric, doubles composite
+Gauss-Legendre panels until two refinements agree.
 
 support() alone decides the law's shape: whether it has a continuous bulk
 (has_bulk) and where its CDF jumps (jumps); density, bulk_mass,
@@ -46,7 +52,6 @@ _NODES, _WEIGHTS = np.polynomial.legendre.leggauss(20)
 _HALF_PI = math.pi / 2.0
 _DEGENERATE_WIDTH = 1e-14
 _MAX_PANELS = 1 << 13
-_TABLE_MIN_PANELS = 256
 # points per block of the bulk integrand: its few block-sized temporaries
 # stay in cache however many points a call evaluates
 _INTEGRAND_BLOCK = 2048
@@ -72,8 +77,9 @@ class ManovaParams:
     p: float
 
     def __post_init__(self):
-        if not 0.0 < self.gamma <= 1.0:
-            raise ValueError(f"gamma must be in (0, 1], got {self.gamma}")
+        # gamma below about 5.6e-309 overflows x to inf
+        if not (0.0 < self.gamma <= 1.0 and math.isfinite(self.x)):
+            raise ValueError(f"gamma must be in (0, 1] with 1/gamma - 1 finite, got {self.gamma}")
         within(self.p, "p", 0.0, 1.0)
 
     @property
@@ -179,14 +185,10 @@ def _bulk_integrand(params: ManovaParams, sup: ManovaSupport):
     return fn
 
 
-def _refine(fn, panels: int, tol: float) -> tuple:
-    """Composite Gauss-Legendre over [0, pi/2], doubling the panels from the
-    given count until two refinements agree to tol.
-
-    Returns (panel edges, panel half-width, unscaled per-panel sums, total);
-    a panel's integral is the half-width times its sum.
-    """
-    prev = None
+def _refine(fn, tol: float) -> float:
+    """Composite Gauss-Legendre integral over [0, pi/2], doubling the panels
+    from 8 until two refinements agree to tol."""
+    prev, panels = None, 8
     while True:
         edges = np.linspace(0.0, _HALF_PI, panels + 1)
         half = 0.5 * (edges[1] - edges[0])
@@ -195,20 +197,17 @@ def _refine(fn, panels: int, tol: float) -> tuple:
         total = half * float(raw.sum())
         est = math.inf if prev is None else abs(total - prev)
         if est <= tol:
-            return edges, half, raw, total
+            return total
         if panels >= _MAX_PANELS:
             raise QuadratureError("quadrature did not reach the requested tolerance", est)
         prev, panels = total, 2 * panels
 
 
 def bulk_mass(params: ManovaParams) -> float:
-    """Probability carried by the continuous bulk (1 - atom_weight in exact
-    arithmetic); 0 when the bulk is empty.  It is the raw total of the cached
-    CDF table, which cdf_many clips to [0, 1], so cdf_many at the atom from the
-    left is min(1, bulk_mass)."""
-    if not support(params).has_bulk:
-        return 0.0
-    return float(_bulk_table(params)[2][-1])
+    """Probability carried by the continuous bulk, mu / min(p, gamma) (1 -
+    atom_weight in exact arithmetic); 0 when the bulk is empty.  cdf_many at
+    the atom from the left is min(1, bulk_mass)."""
+    return _bulk_law(params)[0] if support(params).has_bulk else 0.0
 
 
 def moment_closed(params: ManovaParams, d: int) -> float:
@@ -239,7 +238,7 @@ def moment_numeric(params: ManovaParams, d: int, tol: float = 1e-8) -> float:
     bulk = 0.0
     if sup.has_bulk:
         fn = _bulk_integrand(params, sup)
-        bulk = _refine(lambda th: fn(th, lambda t: t**d), 8, tol)[3]
+        bulk = _refine(lambda th: fn(th, lambda t: t**d), tol)
     return min(params.p, params.gamma) * (bulk + sup.atom_weight * sup.atom_location**d)
 
 
@@ -254,28 +253,37 @@ def delta_correction(params: ManovaParams, d: int, n: int) -> float:
     return (p * (1.0 - p)) ** 2 * x * x / (n - 1.0)
 
 
-# Cached cumulative bulk tables keyed by (gamma, p): the integrand, panel
-# edges in theta and prefix sums of per-panel integrals, refined until the
-# total stabilizes.
+# closed-form bulk CDF coefficients keyed by (gamma, p)
 _TABLE_CACHE: dict = {}
 
 
-def _bulk_table(params: ManovaParams):
-    key = (params.gamma, params.p)
-    tab = _TABLE_CACHE.get(key)
-    if tab is not None:
-        return tab
-    fn = _bulk_integrand(params, support(params))
-    edges, half, raw, _ = _refine(fn, _TABLE_MIN_PANELS, 1e-9)
-    if len(_TABLE_CACHE) > 64:
-        _TABLE_CACHE.clear()
-    tab = (fn, edges, np.concatenate([[0.0], np.cumsum(half * raw)]))
-    _TABLE_CACHE[key] = tab
-    return tab
+def _bulk_law(params: ManovaParams) -> tuple:
+    """Cached (bulk mass, terms) of a law with a bulk: each term (weight, k,
+    u, v) is weight * atan2(k sqrt(lo hi), u hi + v lo) / (pi min(p, gamma)),
+    and the first writes 2 mu theta as mu atan2(2 sqrt(lo hi), hi - lo)."""
+    g, p = params.gamma, params.p
+    law = _TABLE_CACHE.get((g, p))
+    if law is None:
+        a, b = math.sqrt((p / g) * (1.0 - g)), math.sqrt(1.0 - p)
+        c, d = math.sqrt((1.0 - p) * (1.0 - g)), math.sqrt(p * g)
+        mu, scale = min(p, g, 1.0 - p, 1.0 - g), math.pi * min(p, g)
+        terms = ((mu / scale, 2.0, 1.0, -1.0),
+                 (-abs(p - g) / scale, 2.0 * min(a, b), abs(a - b), a + b),
+                 (abs(1.0 - p - g) / scale, 2.0 * min(c, d), c + d, abs(c - d)))
+        if len(_TABLE_CACHE) > 64:
+            _TABLE_CACHE.clear()
+        law = _TABLE_CACHE[g, p] = (mu / min(p, g), terms)
+    return law
+
+
+def _bulk_cdf(terms: tuple, s: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Bulk CDF at the points whose sqrt(t - r-) : sqrt(r+ - t) is s : c."""
+    sc, c2, s2 = s * c, c * c, s * s
+    return sum(w * np.arctan2(k * sc, u * c2 + v * s2) for w, k, u, v in terms)
 
 
 def cdf_many(ts, params: ManovaParams, left: bool = False) -> np.ndarray:
-    """Full-law CDF (bulk quadrature plus a step at each jump) at each t, vectorized.
+    """Full-law CDF (closed-form bulk plus a step at each jump) at each t, vectorized.
 
     left=True returns the left limit P(X < t) instead of P(X <= t); the two
     differ only at point masses.
@@ -285,19 +293,17 @@ def cdf_many(ts, params: ManovaParams, left: bool = False) -> np.ndarray:
     sup = support(params)
     out = np.zeros(ts.shape)
     if sup.has_bulk:
-        fn, edges, prefix = _bulk_table(params)
-        ratio = np.clip((ts - sup.r_minus) / (sup.r_plus - sup.r_minus), 0.0, 1.0)
-        theta = np.arcsin(np.sqrt(ratio))
-        j = np.clip(np.searchsorted(edges, theta, side="right") - 1, 0, len(edges) - 2)
-        lo = edges[j]
-        half = 0.5 * (theta - lo)
-        pts = (lo + half)[:, None] + half[:, None] * _NODES[None, :]
-        out = prefix[j] + (fn(pts.reshape(-1)).reshape(ts.size, -1) @ _WEIGHTS) * half
-        out[ts <= sup.r_minus] = 0.0
+        mass, terms = _bulk_law(params)
+        w = sup.r_plus - sup.r_minus
+        # exactly 0 at and below r-; clipping keeps t = +-inf finite
+        out = _bulk_cdf(terms, np.sqrt(np.clip(ts - sup.r_minus, 0.0, w)),
+                        np.sqrt(np.clip(sup.r_plus - ts, 0.0, w)))
         # the whole bulk lies below 1/gamma, which r+ can exceed by round-off
-        out[ts >= min(sup.r_plus, sup.atom_location)] = prefix[-1]
+        out[ts >= min(sup.r_plus, sup.atom_location)] = mass
     for loc, weight in sup.jumps:
         out = out + weight * step(ts, loc)
+    # the whole mass lies at or below the last jump, whatever the round-off
+    out[step(ts, sup.jumps[-1][0])] = 1.0
     return np.clip(out, 0.0, 1.0)
 
 
@@ -309,9 +315,9 @@ def cdf(t: float, params: ManovaParams) -> float:
 def quantile_many(qs, params: ManovaParams) -> np.ndarray:
     """Generalized inverse of cdf (for inverse-transform sampling).
 
-    Probability levels falling in the atom's mass map to 1/gamma; bulk
-    levels are inverted on the cached cumulative table (piecewise-linear in
-    theta, resolution well below any sampling noise at desk scale).
+    Probability levels falling in the atom's mass map to 1/gamma.  The bulk
+    CDF rises with theta, t = r- + w sin^2(theta), so bulk levels bisect
+    theta on [0, pi/2] until the bracket stops shrinking.
     """
     qs = np.atleast_1d(np.asarray(qs, dtype=float))
     if not np.all((qs >= 0.0) & (qs <= 1.0)):
@@ -321,7 +327,13 @@ def quantile_many(qs, params: ManovaParams) -> np.ndarray:
         # at most two jumps: levels up to the first one's weight map to it
         (first, weight), (last, _) = sup.jumps[0], sup.jumps[-1]
         return np.where(qs <= weight, first, last)
-    _, edges, prefix = _bulk_table(params)
-    theta = np.interp(qs, prefix, edges)
-    t = sup.r_minus + (sup.r_plus - sup.r_minus) * np.sin(theta) ** 2
-    return np.where(qs <= prefix[-1], t, sup.atom_location)
+    mass, terms = _bulk_law(params)
+    # level 0 sits at r-, and levels above the bulk need no search
+    lo, hi = np.zeros(qs.shape), np.where((qs > 0.0) & (qs <= mass), _HALF_PI, 0.0)
+    mid = 0.5 * (lo + hi)
+    while np.any((lo < mid) & (mid < hi)):
+        below = _bulk_cdf(terms, np.sin(mid), np.cos(mid)) < qs
+        lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+        mid = 0.5 * (lo + hi)
+    t = sup.r_minus + (sup.r_plus - sup.r_minus) * np.sin(hi) ** 2
+    return np.where(qs <= mass, t, sup.atom_location)

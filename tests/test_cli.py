@@ -289,6 +289,14 @@ def test_manova_rejects_bad_gamma():
 
 
 @pytest.mark.parametrize("extra", [[], ["--grid", "5"]])
+def test_manova_rejects_gamma_whose_x_overflows(tmp_path, capsys, extra):
+    out = tmp_path / "t.csv"
+    assert main(["manova", "--gamma", "5e-324", "--p", "0.5", "--out", str(out)] + extra) == 2
+    assert "gamma must be in" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("extra", [[], ["--grid", "5"]])
 def test_manova_rejects_bad_order_before_any_output(tmp_path, capsys, extra):
     out = tmp_path / "t.csv"
     for orders in ("1,65", "0"):
