@@ -1,5 +1,5 @@
-"""The one range test behind every order, keep probability and count that a
-public entry point receives, with one message form:
+"""The one range test behind every order, keep probability, count and frame
+size that a public entry point receives, with one message form:
 "<what> must be in <lo>..<hi>, got <v>" ("an integer in" for integer())."""
 
 from __future__ import annotations
@@ -21,3 +21,11 @@ def integer(v, what: str, lo=1, hi=math.inf) -> int:
     if not (lo <= v <= hi and v % 1 == 0):
         raise ValueError(f"{what} must be an integer in {lo}..{hi}, got {v}")
     return int(v)
+
+
+def sizes(m, n) -> tuple[int, int]:
+    """(int(m), int(n)), after checking that both are integers with n >= m >= 1."""
+    m, n = integer(m, "m"), integer(n, "n")
+    if n < m:
+        raise ValueError(f"need n >= m >= 1, got m={m}, n={n}")
+    return m, n

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass
 
-from ._checks import integer, within
+from ._checks import integer, sizes, within
 from .erasure_moments import expected_moment, trace_moment
 from .frames import Frame, is_etf, is_utf
 from .manova import ManovaParams, delta_correction, moment_closed
@@ -60,8 +60,7 @@ def erasure_welch_bound(m: int, n: int, p: float, d: int) -> float:
 
     At p = 1 this is (n/m)^(d-1); at n = m it is p for every order.
     """
-    if not 1 <= m <= n:
-        raise ValueError(f"need n >= m >= 1, got m={m}, n={n}")
+    m, n = sizes(m, n)
     within(p, "keep probability", 0.0, 1.0)
     d = integer(d, "bound order", 2, 4)
     params = ManovaParams(gamma=m / n, p=p)
@@ -69,65 +68,34 @@ def erasure_welch_bound(m: int, n: int, p: float, d: int) -> float:
     return moment_closed(params, d) + extra
 
 
-def _classify(frame: Frame, slack: float, equality_tol: float, violation_tol: float) -> str:
+def _report(frame, moment, bound, p, d, tol) -> BoundReport:
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ValueError(f"tol must be finite and >= 0, got {tol}")
+    slack = moment - bound
     if not math.isfinite(slack):
         raise ValueError(f"slack must be finite, got {slack}")
-    # frame predicates are evaluated lazily: only near-equality cases pay
-    # for the is_etf / is_utf checks
-    if slack < -violation_tol:
-        return VIOLATION
-    if abs(slack) <= equality_tol:
-        if is_etf(frame):
-            return ETF_EQUALITY
-        if is_utf(frame):
-            return UTF_EQUALITY
-    return STRICT
+    cls = VIOLATION if slack < -tol else STRICT
+    # the frame predicates run only for a slack within tol of 0
+    if abs(slack) <= tol:
+        cls = ETF_EQUALITY if is_etf(frame) else UTF_EQUALITY if is_utf(frame) else STRICT
+    return BoundReport(m=frame.m, n=frame.n, p=float(p), d=d, moment=moment, bound=bound,
+                       slack=slack, equality_class=cls)
 
 
-def _report(frame, moment, bound, p, d, tol, equality_tol, violation_tol) -> BoundReport:
-    """Classify moment - bound; tol sets both tolerances unless overridden."""
-    eq = tol if equality_tol is None else equality_tol
-    vi = tol if violation_tol is None else violation_tol
-    if not all(math.isfinite(t) and t >= 0.0 for t in (eq, vi)):
-        raise ValueError(f"tolerances must be finite and >= 0, got {eq} and {vi}")
-    slack = moment - bound
-    return BoundReport(
-        m=frame.m, n=frame.n, p=float(p), d=d,
-        moment=moment,
-        bound=bound,
-        slack=slack,
-        equality_class=_classify(frame, slack, eq, vi),
-    )
-
-
-def check_theorem(
-    frame: Frame,
-    p: float,
-    d: int,
-    tol: float = DEFAULT_TOL,
-    equality_tol: float | None = None,
-    violation_tol: float | None = None,
-) -> BoundReport:
+def check_theorem(frame: Frame, p: float, d: int, tol: float = DEFAULT_TOL) -> BoundReport:
     """Compare the exact erased moment against the erasure Welch bound.
 
-    tol sets both tolerances; equality_tol / violation_tol override them
-    separately (near-ETF numerical frames should classify as strict, so the
-    equality tolerance stays tight even when the violation one is loosened).
+    tol is both the equality tolerance (|slack| <= tol is checked against
+    the ETF and UTF predicates) and the violation one (slack < -tol).
     Order 1 is excluded: m_1 = p identically, there is nothing to bound.
     """
     d = integer(d, "bound order", 2, 4)
     moment = expected_moment(frame, p, d)
     bound = erasure_welch_bound(frame.m, frame.n, p, d)
-    return _report(frame, moment, bound, p, d, tol, equality_tol, violation_tol)
+    return _report(frame, moment, bound, p, d, tol)
 
 
-def lemma1_check(
-    frame: Frame,
-    d: int,
-    tol: float = DEFAULT_TOL,
-    equality_tol: float | None = None,
-    violation_tol: float | None = None,
-) -> BoundReport:
+def lemma1_check(frame: Frame, d: int, tol: float = DEFAULT_TOL) -> BoundReport:
     """Full-frame trace-moment bound: (1/n) tr((FF')^d) >= (n/m)^(d-1).
 
     This is the p = 1 case of check_theorem but admits any positive integer
@@ -136,7 +104,7 @@ def lemma1_check(
     d = integer(d, "moment order")
     moment = trace_moment(frame, d)
     bound = (frame.n / frame.m) ** (d - 1)
-    return _report(frame, moment, bound, 1.0, d, tol, equality_tol, violation_tol)
+    return _report(frame, moment, bound, 1.0, d, tol)
 
 
 def subset_rms_bound(k: float, m: int, n: int) -> float:
@@ -145,8 +113,7 @@ def subset_rms_bound(k: float, m: int, n: int) -> float:
     At k = n this is the classical Welch floor (n - m)/((n - 1) m); at fixed
     k and m it increases with n toward k/((k - 1) m).
     """
-    if not 1 <= m <= n:
-        raise ValueError(f"need n >= m >= 1, got m={m}, n={n}")
+    m, n = sizes(m, n)
     if not 1.0 < k <= n:
         raise ValueError(f"expected subset size must satisfy 1 < k <= n, got {k}")
     return (k / m - k / n) / (k - 1.0)

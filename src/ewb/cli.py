@@ -4,8 +4,8 @@ bounds, tabulate the MANOVA law, and sweep parameter grids to plot-ready CSV.
 Conventions
 -----------
 - Exit codes: 0 success, 1 a bound violation was detected, 2 usage or
-  validation error, or a law quadrature that did not converge.
-- --seed falls back to the EWB_DEFAULT_SEED environment variable, then 0.
+  validation error.
+- --seed defaults to 0, so an artifact depends only on the command line.
 - Every float is printed with 17 significant digits so identical runs diff
   byte-for-byte.
 - Each artifact embeds its run manifest (command, parameters, seeds, library
@@ -22,7 +22,6 @@ import csv
 import itertools
 import json
 import math
-import os
 import sys
 from contextlib import nullcontext
 from datetime import datetime, timezone
@@ -35,7 +34,6 @@ from .bounds import VIOLATION, check_theorem
 from .erasure_moments import (
     ErasureModel,
     bruteforce_table,
-    expected_moment,
     moment_polynomial,
     montecarlo_moment,
 )
@@ -97,16 +95,7 @@ def _sorted_within(vals, what: str, lo, hi) -> list:
 
 
 def _resolve_seed(args) -> int:
-    seed = getattr(args, "seed", None)
-    if seed is not None:
-        return seed
-    env = os.environ.get("EWB_DEFAULT_SEED")
-    if env is not None and env != "":
-        try:
-            return int(env)
-        except ValueError:
-            raise ValueError(f"EWB_DEFAULT_SEED must be an integer, got {env!r}")
-    return 0
+    return 0 if args.seed is None else args.seed
 
 
 def _manifest(args, seed=None) -> dict:
@@ -318,9 +307,15 @@ def cmd_manova(args) -> int:
     else:
         header = ["gamma", "p", "d", "closed", "numeric", "abs_err"]
         for d in ds:
-            closed, numeric = moment_closed(params, d), moment_numeric(params, d)
-            rows.append([_fmt(params.gamma), _fmt(params.p), d, _fmt(closed), _fmt(numeric),
-                         _fmt(abs(closed - numeric))])
+            closed = moment_closed(params, d)
+            # the exact column stands without its quadrature oracle
+            try:
+                numeric = moment_numeric(params, d)
+                checked = [_fmt(numeric), _fmt(abs(closed - numeric))]
+            except QuadratureError as exc:
+                notes.append(f"d={d} numeric: {exc}")
+                checked = ["", ""]
+            rows.append([_fmt(params.gamma), _fmt(params.p), d, _fmt(closed)] + checked)
     _write_csv(args, _manifest(args), header, rows, notes)
     return 0
 
@@ -402,7 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ewb",
         description="Erased-frame moments, MANOVA law tables, and Welch-type bound checks.",
-        epilog="Seeds: --seed wins, then the EWB_DEFAULT_SEED environment variable, then 0.",
+        epilog="Seeds: --seed, else 0.",
     )
     parser.add_argument("--version", action="version", version=f"ewb {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -470,7 +465,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError, KeyError, QuadratureError) as exc:
+    except (ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -24,6 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ._checks import integer, sizes
 from .rng import make_rng
 
 # Structural checks (unit norms, Gram diagonal) are held to NORM_TOL;
@@ -209,8 +210,7 @@ def random_frame(m: int, n: int, field: str = REAL, seed: int = 0) -> Frame:
     Deterministic given (m, n, field, seed); see rng.make_rng for the
     generator contract.
     """
-    if m < 1 or n < m:
-        raise ValueError(f"need n >= m >= 1, got m={m}, n={n}")
+    m, n = sizes(m, n)
     rng = make_rng(seed)
     if field == REAL:
         ent = rng.standard_normal((m, n))
@@ -238,9 +238,7 @@ def simplex_etf(m: int) -> Frame:
     all-ones direction, renormalized, and expressed in a fixed (Helmert)
     orthonormal basis of that complement.
     """
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    n = m + 1
+    n = integer(m, "m") + 1
     proj = np.eye(n) - np.full((n, n), 1.0 / n)
     cols = _normalize_columns(proj)
     ent = _helmert_basis(n) @ cols
@@ -267,6 +265,7 @@ def harmonic_etf(q: int) -> Frame:
     quadratic residues mod q; that index set is a difference set precisely
     for q = 3 (mod 4), which makes the column correlations equimodular.
     """
+    q = integer(q, "q")
     if not _is_prime(q) or q % 4 != 3:
         raise ValueError(f"q must be prime with q = 3 (mod 4), got {q}")
     residues = sorted({(k * k) % q for k in range(1, q)})
@@ -278,9 +277,7 @@ def harmonic_etf(q: int) -> Frame:
 
 def repeated_onb(m: int, copies: int = 2) -> Frame:
     """copies side-by-side copies of the standard basis of R^m (a UTF, not an ETF)."""
-    if m < 1 or copies < 1:
-        raise ValueError("need m >= 1 and copies >= 1")
-    ent = np.hstack([np.eye(m)] * copies)
+    ent = np.hstack([np.eye(integer(m, "m"))] * integer(copies, "copies"))
     return Frame(field=REAL, entries=ent)
 
 
@@ -302,8 +299,9 @@ def nearest_utf(frame: Frame, max_iters: int = 500, tol: float = 1e-9) -> Neares
     Non-convergence is reported through converged=False; the last iterate is
     returned either way.
     """
-    if max_iters < 1 or not 0.0 < tol < np.inf:
-        raise ValueError(f"need max_iters >= 1 and 0 < tol < inf, got {max_iters} and {tol}")
+    max_iters = integer(max_iters, "max_iters")
+    if not 0.0 < tol < np.inf:
+        raise ValueError(f"need 0 < tol < inf, got {tol}")
     m, n = frame.m, frame.n
     ent = np.array(frame.entries)
     cov, residual = frame.invariants.ffh, frame.invariants.utf_residual

@@ -28,10 +28,11 @@ the law's raw d-th moment, which makes the first moment exactly p.
 MANOVA(gamma, p) is the law of PQP for free projections with traces p and
 gamma (Haikin, Zamir & Gavish, PNAS 2017): multiplying their S-transforms
 and inverting by Lagrange gives moment_closed one exact series for every
-order.  moment_numeric is its independent quadrature oracle: t = r- +
-w sin^2(theta) makes rho dt smooth on [0, pi/2] even when the bulk touches 0
-or 1/gamma, and _refine, which serves only moment_numeric, doubles composite
-Gauss-Legendre panels until two refinements agree.
+order.  moment_numeric is its independent quadrature oracle: _bulk_integrand
+writes t^d rho(t) dt in t = r- + w sin^2(theta), smooth on [0, pi/2] even
+when the bulk touches 0 or 1/gamma, and _refine, which serves only
+moment_numeric, doubles composite Gauss-Legendre panels until two
+refinements agree.
 
 support() alone decides the law's shape: whether it has a continuous bulk
 (has_bulk) and where its CDF jumps (jumps); density, bulk_mass,
@@ -52,9 +53,6 @@ _NODES, _WEIGHTS = np.polynomial.legendre.leggauss(20)
 _HALF_PI = math.pi / 2.0
 _DEGENERATE_WIDTH = 1e-14
 _MAX_PANELS = 1 << 13
-# points per block of the bulk integrand: its few block-sized temporaries
-# stay in cache however many points a call evaluates
-_INTEGRAND_BLOCK = 2048
 
 
 class AtomicOnlyError(ValueError):
@@ -157,8 +155,8 @@ def density(t: float, params: ManovaParams) -> float:
 
 
 def _bulk_integrand(params: ManovaParams, sup: ManovaSupport):
-    """theta-integrand of the bulk law over [0, pi/2], vectorized over a 1-D
-    theta array in blocks of _INTEGRAND_BLOCK points.
+    """theta-integrand of t^d times the bulk law over [0, pi/2], vectorized
+    over a theta array: fn(theta, d=0).
 
     With t = r- + w sin^2(theta): rho(t) dt = gamma w^2 sin^2 cos^2 /
     (pi t (1 - gamma t) min(p, gamma)) dtheta.  sin^2/t stays finite when
@@ -170,17 +168,13 @@ def _bulk_integrand(params: ManovaParams, sup: ManovaSupport):
     edge_plus = (math.sqrt((1.0 - p) * (1.0 - g)) - math.sqrt(p * g)) ** 2
     scale = g * w * w / (math.pi * min(p, g))
 
-    def fn(theta, f=None):
-        out = np.empty(theta.shape)
-        for lo in range(0, theta.size, _INTEGRAND_BLOCK):
-            th = theta[lo : lo + _INTEGRAND_BLOCK]
-            s2, c2 = np.sin(th) ** 2, np.cos(th) ** 2
-            t = sup.r_minus + w * s2
-            # theta = 0 with r- = 0 gives t = 0 and a zero numerator; clamp
-            # the denominator so the 0/0 resolves to the correct limit 0
-            val = scale * s2 * c2 / (np.maximum(t, 1e-300) * (edge_plus + g * w * c2))
-            out[lo : lo + th.size] = val if f is None else val * f(t)
-        return out
+    def fn(theta, d=0):
+        s2, c2 = np.sin(theta) ** 2, np.cos(theta) ** 2
+        t = sup.r_minus + w * s2
+        # theta = 0 with r- = 0 gives t = 0 and a zero numerator; clamp
+        # the denominator so the 0/0 resolves to the correct limit 0
+        val = scale * s2 * c2 / (np.maximum(t, 1e-300) * (edge_plus + g * w * c2))
+        return val * t**d
 
     return fn
 
@@ -238,7 +232,7 @@ def moment_numeric(params: ManovaParams, d: int, tol: float = 1e-8) -> float:
     bulk = 0.0
     if sup.has_bulk:
         fn = _bulk_integrand(params, sup)
-        bulk = _refine(lambda th: fn(th, lambda t: t**d), tol)
+        bulk = _refine(lambda th: fn(th, d), tol)
     return min(params.p, params.gamma) * (bulk + sup.atom_weight * sup.atom_location**d)
 
 

@@ -160,6 +160,28 @@ def test_random_frame_validation():
         random_frame(4, 3, "real", seed=0)
 
 
+_SIZE_ROUTES = {
+    "random_frame m": (lambda v: random_frame(v, 4, "real", seed=1), 2),
+    "random_frame n": (lambda v: random_frame(2, v, "real", seed=1), 4),
+    "simplex_etf m": (simplex_etf, 3),
+    "repeated_onb m": (lambda v: repeated_onb(v, 2), 3),
+    "repeated_onb copies": (lambda v: repeated_onb(2, v), 3),
+    "harmonic_etf q": (harmonic_etf, 7),
+    "nearest_utf max_iters":
+        (lambda v: nearest_utf(random_frame(2, 4, "real", seed=0), max_iters=v).frame, 3),
+}
+
+
+@pytest.mark.parametrize("route", sorted(_SIZE_ROUTES))
+def test_every_construction_takes_only_integral_sizes(route):
+    fn, good = _SIZE_ROUTES[route]
+    for bad in (good + 0.5, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="must be an integer in"):
+            fn(bad)
+    # an integral float is the integer, down to the bytes of the frame
+    assert fn(float(good)).entries.tobytes() == fn(good).entries.tobytes()
+
+
 def test_simplex_m1_is_antipodal_pair():
     f = simplex_etf(1)
     assert f.m == 1 and f.n == 2

@@ -502,8 +502,9 @@ def test_cdf_at_the_atom_holds_the_whole_bulk_when_r_plus_rounds_above_it():
 
 
 def one_shot_integrand(params, sup):
-    """The bulk theta-integrand as one whole-array expression: the reference
-    that manova's blocked evaluation must match bit for bit."""
+    """The bulk theta-integrand as one whole-array expression, times f(t):
+    the reference that manova's integrand at a power d must match bit for
+    bit, with f = t -> t^d and f = None at d = 0."""
     g, p = params.gamma, params.p
     w = sup.r_plus - sup.r_minus
     edge_plus = (math.sqrt((1.0 - p) * (1.0 - g)) - math.sqrt(p * g)) ** 2
@@ -522,15 +523,17 @@ def one_shot_integrand(params, sup):
 @pytest.mark.parametrize("blocks, offset", [(0, 1), (1, -1), (1, 0), (1, 1), (3, 5)])
 @pytest.mark.parametrize("gamma, p", [(0.5, 0.5), (0.25, 0.75), (0.1, 0.9), (0.9, 0.3)])
 def test_blocked_integrand_is_bit_identical_to_one_shot(blocks, offset, gamma, p):
-    size = blocks * manova._INTEGRAND_BLOCK + offset
+    # sizes 1, 2047, 2048, 2049 and 6149 straddle the 2048-point blocks an
+    # earlier integrand evaluated in
+    size = 2048 * blocks + offset
     params = ManovaParams(gamma=gamma, p=p)
     sup = support(params)
     theta = np.random.default_rng(size).uniform(0.0, math.pi / 2, size)
     theta[0] = 0.0  # t = r-, which is 0 at gamma = p: the clamped denominator
-    blocked = manova._bulk_integrand(params, sup)
+    integrand = manova._bulk_integrand(params, sup)
     reference = one_shot_integrand(params, sup)
-    for f in (None, lambda t: t**3):
-        got, want = blocked(theta, f), reference(theta, f)
+    for d, f in ((0, None), (3, lambda t: t**3)):
+        got, want = integrand(theta, d), reference(theta, f)
         assert got.shape == want.shape == (size,)
         assert got.tobytes() == want.tobytes()
 
