@@ -79,7 +79,8 @@ class MomentEstimate:
 
 
 def trace_moment(frame: Frame, d: int) -> float:
-    """(1/n) trace((F F')^d) by repeated dense multiplication.
+    """(1/n) trace((F F')^d) from the half powers of FF' (frames.trace_powers:
+    ceil(d/2) - 1 dense products).
 
     Works on the m-by-m factor FF' (m <= n); equals the moment of the
     unerased frame, i.e. m_d at p = 1.  Orders <= 4 are cached per frame.

@@ -103,12 +103,25 @@ def welch_floor(m: int, n: int) -> float:
 
 
 def trace_powers(a: np.ndarray, n: int, d_max: int) -> np.ndarray:
-    """(1/n) tr(a^d) for d = 1..d_max by the chain cur = cur @ a: shape
-    (d_max,) for one square matrix, (d_max, B) for a B x m x m stack."""
-    out, cur = [np.trace(a, axis1=-2, axis2=-1).real], a
-    for _ in range(d_max - 1):
-        cur = cur @ a
-        out.append(np.trace(cur, axis1=-2, axis2=-1).real)
+    """(1/n) tr(a^d) for d = 1..d_max of a Hermitian a: shape (d_max,) for one
+    square matrix, (d_max, B) for a B x m x m stack.
+
+    Only a^2 .. a^h with h = ceil(d_max/2) are multiplied out, h - 1 matrix
+    products.  For d >= 2, tr(a^d) = tr(a^i a^j) with i = ceil(d/2) and
+    j = floor(d/2); a^j is Hermitian, so this is sum Re(a^i_kl conj(a^j_kl)),
+    one dot product of the two powers' float64 views.  tr(a) is read off the
+    diagonal.  Each value depends on d alone, not on d_max.
+    """
+    powers = [a]
+    for _ in range((d_max + 1) // 2 - 1):
+        powers.append(powers[-1] @ a)
+    # each matrix as one float64 row, a complex entry as its (re, im) pair
+    flat = [np.ascontiguousarray(x, dtype=np.result_type(x, np.float64)).view(np.float64)
+            for x in powers]
+    flat = [x.reshape(x.shape[:-2] + (-1,)) for x in flat]
+    out = [np.trace(a, axis1=-2, axis2=-1).real]
+    out += [np.einsum("...k,...k->...", flat[(d + 1) // 2 - 1], flat[d // 2 - 1])
+            for d in range(2, d_max + 1)]
     return np.array(out) / n
 
 
@@ -134,7 +147,8 @@ class FrameInvariants:
 
 
 def frame_invariants(frame: Frame) -> FrameInvariants:
-    """One Gram product and one FF' power chain; Frame.invariants caches the result."""
+    """One Gram product, and one product FF'FF' for the traces; Frame.invariants
+    caches the result."""
     ent, m, n = frame.entries, frame.m, frame.n
     g = ent.conj().T @ ent
     upper = np.triu(g, 1)

@@ -17,6 +17,10 @@ from ._checks import integer, within
 
 GENERATOR_NAME = "philox4x64"
 
+# keep_masks draws its uniforms this many rows at a time, so the float64
+# buffer is _MASK_BLOCK_ROWS x n however many trials are asked for
+_MASK_BLOCK_ROWS = 128
+
 
 def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
     """Independent generator for the 64-bit seed and stream index."""
@@ -29,7 +33,9 @@ def keep_masks(seed: int, trials: int, n: int, p: float) -> np.ndarray:
 
     Row i consumes exactly the draws [i*n, (i+1)*n) of the Philox counter,
     so the mask of trial i depends only on (seed, i) and not on how many
-    trials are requested or in what order they are consumed.  p = 0 and
+    trials are requested or in what order they are consumed.  The draws are
+    made in blocks of _MASK_BLOCK_ROWS rows; the stream continues across
+    blocks, so the bytes equal those of one draw of all rows.  p = 0 and
     p = 1 short-circuit the generator entirely; any other p outside (0, 1),
     NaN included, raises ValueError.
     """
@@ -40,4 +46,8 @@ def keep_masks(seed: int, trials: int, n: int, p: float) -> np.ndarray:
     if p == 1.0:
         return np.ones((trials, n), dtype=bool)
     rng = make_rng(seed, stream=1)
-    return rng.random((trials, n)) < p
+    masks = np.empty((trials, n), dtype=bool)
+    for start in range(0, trials, _MASK_BLOCK_ROWS):
+        block = masks[start : start + _MASK_BLOCK_ROWS]
+        np.less(rng.random(block.shape), p, out=block)
+    return masks

@@ -120,6 +120,26 @@ def test_moments_mc_deterministic(etf_file, tmp_path):
     assert abs(float(rows[1][3]) - 0.625) <= 5.0 * float(rows[1][4])
 
 
+def test_moments_mc_rows_do_not_depend_on_the_other_orders(tmp_path):
+    frame = tmp_path / "f.json"
+    assert main(["construct", "--kind", "random", "--m", "3", "--n", "8", "--field",
+                 "complex", "--seed", "4", "--out", str(frame)]) == 0
+
+    def data_lines(ds):
+        out = tmp_path / f"mc_{ds}.csv"
+        assert main(["moments", "--frame", str(frame), "--p", "0.3,0.7", "--d", ds,
+                     "--method", "mc", "--trials", "300", "--seed", "5",
+                     "--out", str(out)]) == 0
+        return [ln for ln in out.read_text().splitlines() if not ln.startswith("#")][1:]
+
+    together = data_lines("1,2,3,4")
+    alone = {d: data_lines(str(d)) for d in range(1, 5)}
+    assert len(together) == 8
+    for row in together:
+        p, d = row.split(",")[:2]
+        assert [r for r in alone[int(d)] if r.startswith(f"{p},")] == [row]
+
+
 def test_moments_usage_errors(etf_file, tmp_path, capsys):
     big = tmp_path / "big.json"
     assert main(["construct", "--kind", "random", "--m", "2", "--n", "25",

@@ -22,6 +22,7 @@ from ewb import (
     simplex_etf,
     welch_floor,
 )
+from ewb.frames import trace_powers
 
 
 def test_frame_rejects_non_unit_columns():
@@ -425,3 +426,59 @@ def test_save_frame_rejects_non_finite_extra_without_a_file(tmp_path, bad):
     with pytest.raises(ValueError):
         save_frame(simplex_etf(2), path, extra={"construction": {"residual": bad}})
     assert not path.exists()
+
+
+def psd_stack(shape, m, field, seed):
+    """Hermitian positive semidefinite m x m matrices X X' stacked to shape."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(shape + (m, m + 1))
+    if field == "complex":
+        x = x + 1j * rng.standard_normal(x.shape)
+    return x @ np.swapaxes(x, -1, -2).conj()
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+@pytest.mark.parametrize("shape", [(), (5,), (2, 3)], ids=["one", "stack", "stack2d"])
+@pytest.mark.parametrize("m", [1, 2, 6])
+def test_trace_powers_match_eigenvalue_power_sums(field, shape, m):
+    a = psd_stack(shape, m, field, seed=m)
+    lam = np.linalg.eigvalsh(a)
+    for d_max in range(1, 9):
+        want = np.stack([(lam**d).sum(axis=-1) / 7 for d in range(1, d_max + 1)])
+        got = trace_powers(a, 7, d_max)
+        assert got.shape == (d_max,) + shape and got.dtype == np.float64
+        assert_allclose(got, want, rtol=1e-13, atol=0)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+@pytest.mark.parametrize("shape", [(3, 3), (4, 3, 3)], ids=["one", "stack"])
+def test_trace_powers_of_the_zero_matrix_are_zero(dtype, shape):
+    for d_max in range(1, 9):
+        got = trace_powers(np.zeros(shape, dtype=dtype), 5, d_max)
+        assert np.array_equal(got, np.zeros((d_max,) + shape[:-2]))
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+@pytest.mark.parametrize("shape", [(), (9,)], ids=["one", "stack"])
+def test_trace_powers_depend_on_the_order_alone(field, shape):
+    a = psd_stack(shape, 5, field, seed=3)
+    full = trace_powers(a, 11, 8)
+    for d_max in range(1, 9):
+        assert np.array_equal(trace_powers(a, 11, d_max), full[:d_max])
+
+
+class CountingArray(np.ndarray):
+    products = 0
+
+    def __matmul__(self, other):
+        CountingArray.products += 1
+        return super().__matmul__(other)
+
+
+@pytest.mark.parametrize("shape", [(), (4,)], ids=["one", "stack"])
+def test_trace_powers_multiply_out_only_the_half_powers(shape):
+    a = psd_stack(shape, 3, "complex", seed=0).view(CountingArray)
+    for d_max in range(1, 9):
+        CountingArray.products = 0
+        trace_powers(a, 3, d_max)
+        assert CountingArray.products == (d_max + 1) // 2 - 1

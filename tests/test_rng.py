@@ -1,9 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ewb import keep_masks, make_rng
+from ewb import keep_masks, make_rng, rng
 
 
 @settings(max_examples=50, deadline=None)
@@ -29,3 +31,21 @@ def test_property_masks_have_their_own_stream(seed, trials, more, n, p):
 def test_keep_masks_reject_probability_outside_unit_interval(p):
     with pytest.raises(ValueError, match="keep probability"):
         keep_masks(0, 2, 3, p)
+
+
+@pytest.mark.parametrize("blocks, extra", [(0, 1), (1, -1), (1, 0), (1, 1), (2, 0), (7, 105)])
+def test_blocked_masks_equal_one_draw_of_all_rows(blocks, extra):
+    trials = blocks * rng._MASK_BLOCK_ROWS + extra
+    want = make_rng(9, stream=1).random((trials, 37)) < 0.3
+    np.testing.assert_array_equal(keep_masks(9, trials, 37, 0.3), want)
+
+
+def test_keep_masks_peak_memory_is_bounded_by_its_output():
+    tracemalloc.start()
+    try:
+        masks = keep_masks(5, 200_000, 64, 0.5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert masks.nbytes == 200_000 * 64
+    assert peak < 2 * masks.nbytes
