@@ -4,7 +4,9 @@ bounds, tabulate the MANOVA law, and sweep parameter grids to plot-ready CSV.
 Conventions
 -----------
 - Exit codes: 0 success, 1 a bound violation was detected, 2 usage or
-  validation error.
+  validation error, an allocation that fails (MemoryError) included.
+- main(argv) parses with the one parser build_parser() builds per process;
+  each parse fills a fresh Namespace, so no option leaks between calls.
 - --seed defaults to 0, so an artifact depends only on the command line.
 - Every float is printed with 17 significant digits so identical runs diff
   byte-for-byte.
@@ -19,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import itertools
 import json
 import math
@@ -35,8 +38,9 @@ from .erasure_moments import (
     ErasureModel,
     bruteforce_table,
     moment_polynomial,
-    montecarlo_moment,
+    montecarlo_moments,
 )
+from .erasure_moments import montecarlo_moment  # noqa: F401 (bench/tracing.py wraps it)
 from .frames import (
     Frame,
     coherence,
@@ -237,8 +241,14 @@ def cmd_moments(args) -> int:
         def moment(p, d):
             return table.moment(p, d), ""
     else:
+        # one mask draw and one trace-power pass per p serve every order
+        estimates = {
+            p: montecarlo_moments(frame, ErasureModel(p=p, seed=seed), max(ds), args.trials)
+            for p in ps
+        }
+
         def moment(p, d):
-            est = montecarlo_moment(frame, ErasureModel(p=p, seed=seed), d, args.trials)
+            est = estimates[p][d - 1]
             return est.value, _fmt(est.stderr)
 
     rows = []
@@ -301,7 +311,7 @@ def cmd_manova(args) -> int:
         header = ["t", "density"]
         ts = np.linspace(sup.r_minus, sup.r_plus, args.grid)
         try:
-            rows = [[_fmt(t), _fmt(density(t, params))] for t in ts]
+            rows = [[_fmt(t), _fmt(v)] for t, v in zip(ts, density(ts, params))]
         except AtomicOnlyError as exc:
             notes.append(f"atomic-only: {exc}")
     else:
@@ -393,7 +403,11 @@ def cmd_sweep(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ewb parser, built on the first call; later calls return the same
+    object.  Nothing mutates it after it is built, and each parse_args call
+    fills a fresh Namespace, so no option value leaks from one call to the next."""
     parser = argparse.ArgumentParser(
         prog="ewb",
         description="Erased-frame moments, MANOVA law tables, and Welch-type bound checks.",
@@ -461,12 +475,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, OSError, KeyError, MemoryError) as exc:
+        # a bare MemoryError has no message
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
 
 

@@ -137,21 +137,28 @@ def support(params: ManovaParams) -> ManovaSupport:
                          atom_weight=weight, has_bulk=has_bulk, jumps=jumps)
 
 
-def density(t: float, params: ManovaParams) -> float:
-    """Continuous bulk density at t; 0 outside the open interval (r-, r+).
+def density(t, params: ManovaParams):
+    """Continuous bulk density at t; 0 outside the open interval (r-, r+)
+    and from 1/gamma up, which r+ can exceed by round-off when p + gamma = 1.
 
+    Elementwise over an array t, returning an array of its shape; a scalar t
+    gives a float.  NaN gives NaN.  Each value is rounded as the scalar
+    formula in the module docstring, evaluated left to right, would round it.
     The atom is reported separately through support().  Parameter sets with
     an empty bulk (p in {0, 1}, or gamma = 1) raise AtomicOnlyError.
     """
     sup = support(params)
     if not sup.has_bulk:
         raise AtomicOnlyError("no continuous bulk for these parameters")
-    t = float(t)
-    if t <= sup.r_minus or t >= sup.r_plus:
-        return 0.0
+    t = np.asarray(t, dtype=float)
     g = params.gamma
-    num = g * math.sqrt((t - sup.r_minus) * (sup.r_plus - t))
-    return num / (2.0 * math.pi * t * (1.0 - g * t) * min(params.p, g))
+    # points outside the bulk may give sqrt of a negative, 0/0 or overflow;
+    # np.where drops them
+    with np.errstate(all="ignore"):
+        num = g * np.sqrt((t - sup.r_minus) * (sup.r_plus - t))
+        val = num / (2.0 * math.pi * t * (1.0 - g * t) * min(params.p, g))
+    out = np.where((t <= sup.r_minus) | (t >= min(sup.r_plus, sup.atom_location)), 0.0, val)
+    return out if out.ndim else float(out)
 
 
 def _bulk_integrand(params: ManovaParams, sup: ManovaSupport):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from ewb import bounds, cli, frames, load_frame, spectral
+from ewb import bounds, cli, erasure_moments, frames, load_frame, spectral
 from ewb.bounds import BoundReport
 from ewb.cli import SWEEP_FAMILIES, _sweep_frames, build_parser, main
 
@@ -138,6 +138,22 @@ def test_moments_mc_rows_do_not_depend_on_the_other_orders(tmp_path):
     for row in together:
         p, d = row.split(",")[:2]
         assert [r for r in alone[int(d)] if r.startswith(f"{p},")] == [row]
+
+
+def test_moments_mc_draws_the_masks_once_per_keep_probability(tmp_path, monkeypatch):
+    frame = tmp_path / "f.json"
+    assert main(["construct", "--kind", "random", "--m", "3", "--n", "8", "--field",
+                 "complex", "--seed", "4", "--out", str(frame)]) == 0
+    draws, passes = [], []
+    keep_masks, trace_powers = erasure_moments.keep_masks, erasure_moments._erased_trace_powers
+    monkeypatch.setattr(erasure_moments, "keep_masks",
+                        lambda seed, trials, n, p: draws.append(p) or keep_masks(seed, trials, n, p))
+    monkeypatch.setattr(erasure_moments, "_erased_trace_powers",
+                        lambda f, masks, d_max: passes.append(d_max) or trace_powers(f, masks, d_max))
+    assert main(["moments", "--frame", str(frame), "--p", "0.7,0.3", "--d", "3,1,2",
+                 "--method", "mc", "--trials", "50", "--out", str(tmp_path / "mc.csv")]) == 0
+    assert draws == [0.3, 0.7]
+    assert passes == [3, 3]
 
 
 def test_moments_usage_errors(etf_file, tmp_path, capsys):
@@ -655,3 +671,78 @@ gamma,p,d,closed,numeric,abs_err\r
 def test_manova_table_bytes_are_pinned(capsys):
     assert main(["manova", "--gamma", "0.4", "--p", "0.3", "--d", "1,2,3,4,5,6,8"]) == 0
     assert capsys.readouterr().out == MANOVA_TABLE_CSV
+
+
+def test_build_parser_builds_one_parser_per_process():
+    assert build_parser() is build_parser()
+
+
+def _lone_run(argv, out):
+    """The bytes of argv's artifact from a parser built for this run alone."""
+    build_parser.cache_clear()
+    assert main(argv) == 0
+    return out.read_bytes()
+
+
+def test_options_and_defaults_do_not_leak_between_calls(etf_file, tmp_path):
+    out = tmp_path / "mc.csv"
+    mc = ["moments", "--frame", etf_file, "--p", "0.5", "--d", "2", "--method", "mc",
+          "--trials", "40", "--out", str(out)]
+    lone = _lone_run(mc, out)
+    assert main(mc + ["--seed", "5"]) == 0
+    assert out.read_bytes() != lone
+    assert main(mc) == 0
+    assert out.read_bytes() == lone
+    manifest = json.loads(lone.decode().splitlines()[0].removeprefix("# manifest: "))
+    assert manifest["seed"] == 0 and "seed" not in manifest["params"]
+
+    frame = tmp_path / "f.json"
+    for kind, changed in (("repeated-onb", ["--copies", "3"]), ("random", ["--field", "complex"])):
+        argv = ["construct", "--kind", kind, "--m", "2", "--n", "4", "--out", str(frame)]
+        lone = _lone_run(argv, frame)
+        assert main(argv + changed) == 0
+        assert frame.read_bytes() != lone
+        assert main(argv) == 0
+        assert frame.read_bytes() == lone
+
+
+@pytest.mark.parametrize("first,code", [(["moments", "--bogus"], 2), (["bound", "--help"], 0),
+                                        (["--version"], 0), (["sweep", "--family", "x"], 2)])
+def test_a_call_after_a_usage_exit_gives_the_usual_bytes(first, code, etf_file, tmp_path, capsys):
+    out = tmp_path / "b.json"
+    argv = ["bound", "--frame", etf_file, "--p", "0.5", "--d", "2,3,4", "--out", str(out)]
+    lone = _lone_run(argv, out)
+    with pytest.raises(SystemExit) as exc:
+        main(first)
+    assert exc.value.code == code
+    out.unlink()
+    capsys.readouterr()
+    assert main(argv) == 0
+    assert out.read_bytes() == lone
+    assert capsys.readouterr().out == ""
+
+
+def test_allocation_failure_exits_2(etf_file, tmp_path, monkeypatch, capsys):
+    # raised by a stand-in, since whether a huge allocation fails depends on
+    # the system's overcommit policy
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 745. GiB")
+
+    out = tmp_path / "x.csv"
+    monkeypatch.setattr(np, "linspace", out_of_memory)
+    assert main(["manova", "--gamma", "0.5", "--p", "0.5", "--grid", "100000000000",
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: Unable to allocate 745. GiB\n"
+    monkeypatch.setattr(erasure_moments, "keep_masks", lambda *args: out_of_memory())
+    assert main(["moments", "--frame", etf_file, "--p", "0.5", "--d", "2", "--method", "mc",
+                 "--trials", "100000000000", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: Unable to allocate 745. GiB\n"
+    assert not out.exists()
+    # a MemoryError with no message still names what went wrong
+    def bare(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(erasure_moments, "keep_masks", bare)
+    assert main(["moments", "--frame", etf_file, "--p", "0.5", "--d", "2", "--method", "mc",
+                 "--trials", "10"]) == 2
+    assert capsys.readouterr().err == "error: MemoryError\n"

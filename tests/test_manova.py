@@ -22,6 +22,7 @@ from ewb import (
     quantile_many,
     support,
 )
+from ewb.cli import main
 
 trapz = getattr(np, "trapezoid", None) or np.trapz
 
@@ -104,8 +105,81 @@ def test_delta_correction_rejects_non_integral_sizes():
 
 def test_density_atomic_only_cases():
     for gamma, p in [(0.5, 0.0), (0.5, 1.0), (1.0, 0.5)]:
-        with pytest.raises(AtomicOnlyError):
-            density(1.0, ManovaParams(gamma=gamma, p=p))
+        for t in (1.0, np.array([0.5, 1.0]), np.linspace(0.0, 2.0, 7).reshape(7, 1)):
+            with pytest.raises(AtomicOnlyError):
+                density(t, ManovaParams(gamma=gamma, p=p))
+
+
+def _math_density(t: float, params: ManovaParams) -> float:
+    """The bulk density one point at a time in math-module floats: the
+    reference the array route must match bit for bit."""
+    sup = support(params)
+    if t <= sup.r_minus or t >= min(sup.r_plus, sup.atom_location):
+        return 0.0
+    g = params.gamma
+    num = g * math.sqrt((t - sup.r_minus) * (sup.r_plus - t))
+    return num / (2.0 * math.pi * t * (1.0 - g * t) * min(params.p, g))
+
+
+def _density_probes(params: ManovaParams) -> np.ndarray:
+    """A bulk grid plus the endpoints, points just outside them, 0, 1/gamma,
+    huge values, +-inf and NaN."""
+    sup = support(params)
+    lo, hi = sup.r_minus, sup.r_plus
+    special = [lo, hi, np.nextafter(lo, -1.0), np.nextafter(lo, 2.0), np.nextafter(hi, 0.0),
+               np.nextafter(hi, 3.0), lo - 0.1, hi + 0.1, 0.0, -1.0, sup.atom_location,
+               1e300, -1e300, math.inf, -math.inf, math.nan]
+    return np.concatenate([np.linspace(lo, hi, 101), special])
+
+
+@pytest.mark.parametrize("gamma,p", [(0.5, 0.5), (0.4, 0.6), (2.0 / 3.0, 0.5), (0.25, 0.3),
+                                     (0.9, 0.05)])
+def test_density_array_is_bit_identical_to_the_pointwise_route(gamma, p):
+    # (0.4, 0.6) puts r+ on 1/gamma and (2/3, 0.5) puts r- at 0
+    params = ManovaParams(gamma=gamma, p=p)
+    ts = _density_probes(params)
+    got = density(ts, params)
+    assert isinstance(got, np.ndarray) and got.shape == ts.shape
+    pointwise = np.array([density(t, params) for t in ts])
+    reference = np.array([_math_density(float(t), params) for t in ts])
+    for want in (pointwise, reference):
+        assert np.array_equal(np.isnan(got), np.isnan(want))
+        assert got[~np.isnan(got)].tobytes() == want[~np.isnan(want)].tobytes()
+    assert math.isnan(density(math.nan, params))
+    assert np.isnan(got[-1]) and np.count_nonzero(np.isnan(got)) == 1
+    # any array shape comes back in that shape
+    assert density(ts[:100].reshape(4, 25), params).tobytes() == got[:100].tobytes()
+
+
+@pytest.mark.parametrize("gamma,p", [(0.5, 0.6), (0.4, 0.6), (0.9, 0.05)])
+def test_density_grid_csv_matches_the_pointwise_route(gamma, p, tmp_path):
+    out = tmp_path / "grid.csv"
+    assert main(["manova", "--gamma", str(gamma), "--p", str(p), "--grid", "200",
+                 "--out", str(out)]) == 0
+    lines = out.read_text().splitlines()
+    params = ManovaParams(gamma=gamma, p=p)
+    sup = support(params)
+    ts = np.linspace(sup.r_minus, sup.r_plus, 200)
+    want = [f"{t:.17g},{_math_density(float(t), params):.17g}" for t in ts]
+    assert lines[2:] == ["t,density"] + want
+
+
+def test_density_vanishes_from_the_atom_location_up():
+    # p + gamma = 1: the bulk ends at 1/gamma = 2, and r+ rounds one ulp above it
+    params = ManovaParams(gamma=0.5, p=0.5)
+    sup = support(params)
+    assert sup.r_plus > sup.atom_location == 2.0
+    ts = np.array([sup.atom_location, sup.r_plus, np.nextafter(2.0, 0.0)])
+    assert density(2.0, params) == 0.0
+    assert density(ts, params).tolist()[:2] == [0.0, 0.0]
+    assert density(ts, params)[2] > 0.0
+
+
+def test_density_of_a_scalar_is_a_python_float():
+    params = ManovaParams(gamma=0.5, p=0.5)
+    for t in (1.0, 1, np.float64(1.0), np.float32(1.0), np.array(1.0), 5.0):
+        assert type(density(t, params)) is float
+    assert density(np.array(1.0), params) == density(1.0, params) > 0.0
 
 
 def test_density_integrates_to_bulk_mass():
