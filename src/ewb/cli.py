@@ -38,9 +38,8 @@ from .erasure_moments import (
     ErasureModel,
     bruteforce_table,
     moment_polynomial,
-    montecarlo_moments,
+    montecarlo_moment,
 )
-from .erasure_moments import montecarlo_moment  # noqa: F401 (bench/tracing.py wraps it)
 from .frames import (
     Frame,
     coherence,
@@ -241,14 +240,8 @@ def cmd_moments(args) -> int:
         def moment(p, d):
             return table.moment(p, d), ""
     else:
-        # one mask draw and one trace-power pass per p serve every order
-        estimates = {
-            p: montecarlo_moments(frame, ErasureModel(p=p, seed=seed), max(ds), args.trials)
-            for p in ps
-        }
-
         def moment(p, d):
-            est = estimates[p][d - 1]
+            est = montecarlo_moment(frame, ErasureModel(p=p, seed=seed), d, args.trials)
             return est.value, _fmt(est.stderr)
 
     rows = []

@@ -211,29 +211,18 @@ def bruteforce_moment(frame: Frame, p: float, d: int) -> float:
     return bruteforce_table(frame, d_max=d).moment(p, d)
 
 
-def montecarlo_moments(frame: Frame, model: ErasureModel, d_max: int,
-                       trials: int) -> tuple[MomentEstimate, ...]:
-    """Estimates of m_1 .. m_d_max from one draw of i.i.d. Bernoulli(p) keep
-    patterns and one erased trace-power pass over them: entry d - 1 averages
-    (1/n) tr((G_S)^d).
+def montecarlo_moment(frame: Frame, model: ErasureModel, d: int, trials: int) -> MomentEstimate:
+    """Sample keep patterns i.i.d. Bernoulli(p) and average (1/n) tr((G_S)^d).
 
     Deterministic given (model.seed, trials); trial t's pattern depends only
     on the seed and t (counter-derived), never on blocking or schedule.
-    Each estimate depends on its order alone, not on d_max.
     """
-    d_max = integer(d_max, "moment order")
+    d = integer(d, "moment order")
     masks = keep_masks(model.seed, trials, frame.n, model.p)
     trials = len(masks)
-    estimates = []
-    for vals in _erased_trace_powers(frame, masks, d_max):
-        stderr = float(vals.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
-        estimates.append(MomentEstimate(value=float(vals.mean()), stderr=stderr, trials=trials))
-    return tuple(estimates)
-
-
-def montecarlo_moment(frame: Frame, model: ErasureModel, d: int, trials: int) -> MomentEstimate:
-    """Monte Carlo estimate of m_d: the last entry of montecarlo_moments."""
-    return montecarlo_moments(frame, model, d, trials)[-1]
+    vals = _erased_trace_powers(frame, masks, d)[-1]
+    stderr = float(vals.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
+    return MomentEstimate(value=float(vals.mean()), stderr=stderr, trials=trials)
 
 
 def subset_rms(frame: Frame, p: float) -> float:

@@ -140,22 +140,6 @@ def test_moments_mc_rows_do_not_depend_on_the_other_orders(tmp_path):
         assert [r for r in alone[int(d)] if r.startswith(f"{p},")] == [row]
 
 
-def test_moments_mc_draws_the_masks_once_per_keep_probability(tmp_path, monkeypatch):
-    frame = tmp_path / "f.json"
-    assert main(["construct", "--kind", "random", "--m", "3", "--n", "8", "--field",
-                 "complex", "--seed", "4", "--out", str(frame)]) == 0
-    draws, passes = [], []
-    keep_masks, trace_powers = erasure_moments.keep_masks, erasure_moments._erased_trace_powers
-    monkeypatch.setattr(erasure_moments, "keep_masks",
-                        lambda seed, trials, n, p: draws.append(p) or keep_masks(seed, trials, n, p))
-    monkeypatch.setattr(erasure_moments, "_erased_trace_powers",
-                        lambda f, masks, d_max: passes.append(d_max) or trace_powers(f, masks, d_max))
-    assert main(["moments", "--frame", str(frame), "--p", "0.7,0.3", "--d", "3,1,2",
-                 "--method", "mc", "--trials", "50", "--out", str(tmp_path / "mc.csv")]) == 0
-    assert draws == [0.3, 0.7]
-    assert passes == [3, 3]
-
-
 def test_moments_usage_errors(etf_file, tmp_path, capsys):
     big = tmp_path / "big.json"
     assert main(["construct", "--kind", "random", "--m", "2", "--n", "25",
