@@ -5,6 +5,7 @@ Conventions
 -----------
 - Exit codes: 0 success, 1 a bound violation was detected, 2 usage or
   validation error, an allocation that fails (MemoryError) included.
+  Usage errors, --help and --version leave main() through argparse's SystemExit.
 - main(argv) parses with the one parser build_parser() builds per process;
   each parse fills a fresh Namespace, so no option leaks between calls.
 - --seed defaults to 0, so an artifact depends only on the command line.
@@ -228,27 +229,24 @@ def cmd_moments(args) -> int:
             raise ValueError("method mc needs --trials")
         seed = _resolve_seed(args)
 
-    # moment(p, d) -> (value, stderr column)
+    # moments(p) -> one (value, stderr column) per order in ds, from one call per p
     if args.method == "poly":
-        polys = {d: moment_polynomial(frame, d) for d in ds}
+        polys = [moment_polynomial(frame, d) for d in ds]
 
-        def moment(p, d):
-            return polys[d].evaluate(p), ""
+        def moments(p):
+            return [(poly.evaluate(p), "") for poly in polys]
     elif args.method == "brute":
         table = bruteforce_table(frame, d_max=max(ds))
 
-        def moment(p, d):
-            return table.moment(p, d), ""
+        def moments(p):
+            return [(table.moment(p, d), "") for d in ds]
     else:
-        def moment(p, d):
-            est = montecarlo_moment(frame, ErasureModel(p=p, seed=seed), d, args.trials)
-            return est.value, _fmt(est.stderr)
+        def moments(p):
+            est = montecarlo_moment(frame, ErasureModel(p=p, seed=seed), max(ds), args.trials)
+            return [(est.values[d - 1], _fmt(est.stderrs[d - 1])) for d in ds]
 
-    rows = []
-    for p in ps:
-        for d in ds:
-            value, stderr = moment(p, d)
-            rows.append([_fmt(p), d, args.method, _fmt(value), stderr])
+    rows = [[_fmt(p), d, args.method, _fmt(value), stderr]
+            for p in ps for d, (value, stderr) in zip(ds, moments(p))]
     _write_csv(args, _manifest(args, seed=seed), ["p", "d", "method", "value", "stderr"], rows)
     return 0
 

@@ -12,9 +12,9 @@ vectors, with a_{d,1} = 1.  For d <= 4 the coefficients are recovered from
 trace identities and O(n^2) pair sums instead of tuple enumeration.
 
 Three routes to m_d are provided: the exact polynomial, an exhaustive
-2^n-pattern oracle (n <= 24), and a seeded Monte Carlo estimator.  Oracle
-weights p^|S| stay above double-precision underflow for p >= 1e-9 at
-n <= 24, so no log-space arithmetic is used.
+2^n-pattern oracle (n <= 24) and a seeded Monte Carlo estimator; the last two
+give every order up to d from one pass.  Oracle weights p^|S| stay above
+double-precision underflow for p >= 1e-9 at n <= 24 (no log-space arithmetic).
 
 The oracle, the Monte Carlo route and spectral.subset_spectrum_samples never
 form a kept-column Gram submatrix G_S: its nonzero spectrum is that of the
@@ -71,11 +71,19 @@ class MomentPolynomial:
 
 @dataclass(frozen=True)
 class MomentEstimate:
-    """Monte Carlo mean with stderr = sample std / sqrt(trials)."""
+    """values[k-1], stderrs[k-1]: Monte Carlo mean, std / sqrt(trials) of order k = 1..d."""
 
-    value: float
-    stderr: float
+    values: tuple
+    stderrs: tuple
     trials: int
+
+    @property
+    def value(self) -> float:
+        return self.values[-1]
+
+    @property
+    def stderr(self) -> float:
+        return self.stderrs[-1]
 
 
 def trace_moment(frame: Frame, d: int) -> float:
@@ -212,17 +220,17 @@ def bruteforce_moment(frame: Frame, p: float, d: int) -> float:
 
 
 def montecarlo_moment(frame: Frame, model: ErasureModel, d: int, trials: int) -> MomentEstimate:
-    """Sample keep patterns i.i.d. Bernoulli(p) and average (1/n) tr((G_S)^d).
+    """Average (1/n) tr((G_S)^k), k = 1..d, over i.i.d. Bernoulli(p) keep patterns.
 
-    Deterministic given (model.seed, trials); trial t's pattern depends only
-    on the seed and t (counter-derived), never on blocking or schedule.
+    One mask draw and one erased-trace pass serve every order, each as a d = k
+    call would; trial t's pattern depends only on model.seed and t (counter-derived).
     """
     d = integer(d, "moment order")
     masks = keep_masks(model.seed, trials, frame.n, model.p)
     trials = len(masks)
-    vals = _erased_trace_powers(frame, masks, d)[-1]
-    stderr = float(vals.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
-    return MomentEstimate(value=float(vals.mean()), stderr=stderr, trials=trials)
+    rows = _erased_trace_powers(frame, masks, d)
+    stderrs = [float(r.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0 for r in rows]
+    return MomentEstimate(tuple(float(r.mean()) for r in rows), tuple(stderrs), trials)
 
 
 def subset_rms(frame: Frame, p: float) -> float:

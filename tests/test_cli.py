@@ -80,6 +80,19 @@ def test_construct_nearest_utf(tmp_path, capsys):
     assert meta["converged"] is True and meta["kind"] == "nearest-utf"
 
 
+def test_construct_nearest_utf_records_non_convergence(tmp_path, capsys):
+    src, out = tmp_path / "src.json", tmp_path / "nu.json"
+    assert main(["construct", "--kind", "random", "--m", "2", "--n", "5", "--seed", "3",
+                 "--out", str(src)]) == 0
+    capsys.readouterr()
+    assert main(["construct", "--kind", "nearest-utf", "--frame", str(src), "--max-iters", "1",
+                 "--tol", "1e-300", "--out", str(out)]) == 0
+    err = capsys.readouterr().err
+    assert "warning: projection residual" in err and "after 1 iterations" in err
+    meta = json.loads(out.read_text())["construction"]
+    assert meta["converged"] is False and meta["iterations"] == 1
+
+
 def test_construct_missing_params(tmp_path, capsys):
     assert main(["construct", "--kind", "random", "--m", "2",
                  "--out", str(tmp_path / "x.json")]) == 2
@@ -140,6 +153,17 @@ def test_moments_mc_rows_do_not_depend_on_the_other_orders(tmp_path):
         assert [r for r in alone[int(d)] if r.startswith(f"{p},")] == [row]
 
 
+def test_moments_mc_draws_masks_once_per_probability(etf_file, tmp_path, monkeypatch):
+    calls = []
+    draw = erasure_moments.keep_masks
+    monkeypatch.setattr(erasure_moments, "keep_masks", lambda *a: calls.append(a) or draw(*a))
+    out = tmp_path / "mc.csv"
+    assert main(["moments", "--frame", etf_file, "--p", "0.3,0.7", "--d", "1,2,3,4",
+                 "--method", "mc", "--trials", "50", "--seed", "2", "--out", str(out)]) == 0
+    assert len(calls) == 2
+    assert len(read_csv(str(out))[1]) == 1 + 8
+
+
 def test_moments_usage_errors(etf_file, tmp_path, capsys):
     big = tmp_path / "big.json"
     assert main(["construct", "--kind", "random", "--m", "2", "--n", "25",
@@ -152,6 +176,13 @@ def test_moments_usage_errors(etf_file, tmp_path, capsys):
     assert main(["moments", "--frame", etf_file, "--p", "1.5", "--d", "2"]) == 2
     err = capsys.readouterr().err
     assert err.count("error:") == 4
+
+
+def test_moments_non_numeric_probability_is_usage_error(etf_file, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["moments", "--frame", etf_file, "--p", "a,b", "--d", "2"])
+    assert exc.value.code == 2
+    assert "expected a comma-separated float list, got 'a,b'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("method", ["poly", "brute", "mc"])
@@ -179,12 +210,28 @@ def test_bound_reports_etf_equality(etf_file, tmp_path):
 
 
 def test_bound_rejects_tampered_frame(etf_file, tmp_path, capsys):
-    raw = json.loads(open(etf_file).read())
+    raw = json.loads(Path(etf_file).read_text())
     raw["data"][0][0] = 5.0  # breaks the unit-norm invariant
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(raw))
     assert main(["bound", "--frame", str(bad), "--p", "0.5", "--d", "2"]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_bound_and_sweep_exit_1_on_a_violation(etf_file, tmp_path, monkeypatch, capsys):
+    report = BoundReport(m=2, n=3, p=0.5, d=2, moment=0.4, bound=0.5, slack=-0.1,
+                         equality_class=bounds.VIOLATION)
+    monkeypatch.setattr(cli, "check_theorem", lambda *args, **kwargs: report)
+    out = tmp_path / "b.json"
+    assert main(["bound", "--frame", etf_file, "--p", "0.5", "--d", "2", "--out", str(out)]) == 1
+    assert capsys.readouterr().err.endswith("error: bound violation detected\n")
+    assert json.loads(out.read_text())["reports"][0]["equality_class"] == "violation"
+    csv_out = tmp_path / "s.csv"
+    assert main(["sweep", "--family", "simplex", "--m", "2", "--p", "0.5", "--d", "2,3",
+                 "--out", str(csv_out)]) == 1
+    assert capsys.readouterr().err.endswith("error: 2 bound violation(s) detected\n")
+    data = read_csv(str(csv_out))[1][1:]
+    assert len(data) == 2 and all(r[8] == "-0.10000000000000001" for r in data)
 
 
 def test_bound_rejects_non_finite_frame(tmp_path, capsys):
@@ -384,6 +431,24 @@ def test_sweep_random_family_strict_with_ks(tmp_path):
     for r in data:
         assert float(r[8]) > 0.0  # generic frames sit strictly above the bound
         assert 0.0 <= float(r[9]) <= 1.0  # ks column populated
+
+
+def test_sweep_reports_an_empty_eigenvalue_pool_in_its_row(tmp_path):
+    # one trial at p = 1e-9 keeps no vector, so there is nothing to compare
+    out = tmp_path / "s.csv"
+    assert main(["sweep", "--family", "random", "--m", "2", "--n", "6", "--p", "1e-9",
+                 "--d", "2", "--trials", "1", "--seed", "1", "--out", str(out)]) == 0
+    (row,) = read_csv(str(out))[1][1:]
+    assert row[9] == "" and row[10] == "ks: empty eigenvalue pool"
+    assert row[6] != ""
+
+
+def test_sweep_without_valid_sizes_exits_2(tmp_path, capsys):
+    out = tmp_path / "s.csv"
+    assert main(["sweep", "--family", "random", "--m", "5", "--n", "3", "--p", "0.5",
+                 "--d", "2", "--out", str(out)]) == 2
+    assert "no valid (m, n) pairs" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_sweep_rejects_bad_order_before_any_row(tmp_path):

@@ -197,6 +197,24 @@ def test_montecarlo_validation(mercedes_benz):
         montecarlo_moment(mercedes_benz, ErasureModel(p=0.4), 0, trials=10)
 
 
+@pytest.mark.parametrize("field", ["real", "complex"])
+@pytest.mark.parametrize("p", [0.0, 0.45, 1.0])
+@pytest.mark.parametrize("trials", [1, 257])
+def test_montecarlo_orders_match_single_order_calls_bit_for_bit(field, p, trials):
+    f = random_frame(3, 7, field, seed=2)
+    model = ErasureModel(p=p, seed=6)
+    top = montecarlo_moment(f, model, 5, trials)
+    assert len(top.values) == len(top.stderrs) == 5 and top.trials == trials
+    assert (top.value, top.stderr) == (top.values[-1], top.stderrs[-1])
+    for d in range(1, 6):
+        one = montecarlo_moment(f, model, d, trials)
+        assert (top.values[d - 1], top.stderrs[d - 1]) == (one.value, one.stderr)
+        assert one.values == top.values[:d] and one.stderrs == top.stderrs[:d]
+    if trials == 1:
+        assert top.stderrs == (0.0,) * 5
+    assert all(type(v) is float for v in top.values + top.stderrs)
+
+
 def test_subset_rms_reduces_to_coherence_at_p1(mercedes_benz):
     for f in (mercedes_benz, random_frame(3, 8, "real", seed=2)):
         assert abs(subset_rms(f, 1.0) - ewb.coherence(f).rms_sq) <= 1e-12

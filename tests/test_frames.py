@@ -37,6 +37,8 @@ def test_frame_rejects_bad_shape_and_field():
         Frame(field="imaginary", entries=np.eye(2))
     with pytest.raises(ValueError):
         Frame(field="real", entries=np.eye(2).astype(complex))
+    with pytest.raises(ValueError, match="2-D"):
+        Frame(field="real", entries=np.ones(3))
 
 
 def test_frame_rejects_non_finite_entries():
@@ -103,6 +105,8 @@ def test_coherence_repeated_onb():
 def test_coherence_needs_two_columns():
     with pytest.raises(ValueError):
         coherence(Frame(field="real", entries=np.ones((1, 1))))
+    # the floor itself is defined there, and 0
+    assert welch_floor(1, 1) == 0.0
 
 
 def test_is_utf_examples():
@@ -159,6 +163,8 @@ def test_random_frame_validation():
         random_frame(0, 3, "real", seed=0)
     with pytest.raises(ValueError):
         random_frame(4, 3, "real", seed=0)
+    with pytest.raises(ValueError, match="unknown field"):
+        random_frame(2, 3, "quaternion", seed=0)
 
 
 _SIZE_ROUTES = {
@@ -208,9 +214,9 @@ def test_harmonic_examples():
     assert_allclose(coherence(f7).max_sq, 1.0 / 8.0, atol=1e-12)
 
 
-@pytest.mark.parametrize("q", [5, 4, 9, 15, 21])
+@pytest.mark.parametrize("q", [1, 5, 4, 9, 15, 21])
 def test_harmonic_rejects_bad_q(q):
-    # composite, even, 1 mod 4, or composite 3 mod 4
+    # a unit, composite, even, 1 mod 4, or composite 3 mod 4
     with pytest.raises(ValueError):
         harmonic_etf(q)
 
@@ -248,6 +254,9 @@ def test_nearest_utf_validation():
         nearest_utf(f, max_iters=0)
     with pytest.raises(ValueError):
         nearest_utf(f, tol=0.0)
+    # two equal columns in R^2 span only a line
+    with pytest.raises(ValueError, match="does not span"):
+        nearest_utf(Frame(field="real", entries=np.array([[1.0, 1.0], [0.0, 0.0]])))
 
 
 def test_json_roundtrip_real(tmp_path):
