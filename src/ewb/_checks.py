@@ -1,5 +1,5 @@
-"""The one range test behind every order, keep probability, count and frame
-size that a public entry point receives, with one message form:
+"""The one range test behind every order, keep probability, count, seed and
+frame size that a public entry point receives, with one message form:
 "<what> must be in <lo>..<hi>, got <v>" ("an integer in" for integer())."""
 
 from __future__ import annotations
@@ -15,10 +15,10 @@ def within(v, what: str, lo, hi):
 
 
 def integer(v, what: str, lo=1, hi=math.inf) -> int:
-    """int(v), after checking that v is an integer in lo..hi: NaN, infinities
-    and 2.5 raise ValueError, 2.0 gives 2.  inf % 1 is NaN, so infinities fail
-    the integrality test; ints past the float range pass it exactly."""
-    if not (lo <= v <= hi and v % 1 == 0):
+    """int(v), after checking that v is an integer in lo..hi: NaN, infinities,
+    2.5 and True raise ValueError, 2.0 gives 2.  inf % 1 is NaN, so infinities
+    fail the integrality test; ints past the float range pass it exactly."""
+    if isinstance(v, bool) or not (lo <= v <= hi and v % 1 == 0):
         raise ValueError(f"{what} must be an integer in {lo}..{hi}, got {v}")
     return int(v)
 

@@ -102,27 +102,31 @@ def welch_floor(m: int, n: int) -> float:
     return (n - m) / ((n - 1) * m)
 
 
-def trace_powers(a: np.ndarray, n: int, d_max: int) -> np.ndarray:
+def trace_powers(a: np.ndarray, n: int, d_max: int, scratch=None, out=None) -> np.ndarray:
     """(1/n) tr(a^d) for d = 1..d_max of a Hermitian a: shape (d_max,) for one
     square matrix, (d_max, B) for a B x m x m stack.
 
     Only a^2 .. a^h with h = ceil(d_max/2) are multiplied out, h - 1 matrix
-    products.  For d >= 2, tr(a^d) = tr(a^i a^j) with i = ceil(d/2) and
-    j = floor(d/2); a^j is Hermitian, so this is sum Re(a^i_kl conj(a^j_kl)),
-    one dot product of the two powers' float64 views.  tr(a) is read off the
-    diagonal.  Each value depends on d alone, not on d_max.
+    products into the scratch stacks (shaped like a; allocated if not given);
+    out, if given, takes the result.  For d >= 2, tr(a^d) = tr(a^i a^j) with
+    i = ceil(d/2), j = floor(d/2); a^j is Hermitian, so this is one dot product
+    of the two powers' float64 views.  tr(a) is the einsum "...ii->..." of its
+    real part.  Each value depends on d alone, not on d_max.
     """
-    powers = [a]
-    for _ in range((d_max + 1) // 2 - 1):
-        powers.append(powers[-1] @ a)
+    dtype, halves = np.result_type(a, np.float64), (d_max + 1) // 2 - 1
+    scratch = np.empty((halves,) + a.shape, dtype) if scratch is None else scratch
+    out = np.empty((d_max,) + a.shape[:-2]) if out is None else out
+    powers = [np.ascontiguousarray(a, dtype=dtype)]
+    for s in scratch:
+        powers.append(np.matmul(powers[-1], a, out=s))
     # each matrix as one float64 row, a complex entry as its (re, im) pair
-    flat = [np.ascontiguousarray(x, dtype=np.result_type(x, np.float64)).view(np.float64)
-            for x in powers]
-    flat = [x.reshape(x.shape[:-2] + (-1,)) for x in flat]
-    out = [np.trace(a, axis1=-2, axis2=-1).real]
-    out += [np.einsum("...k,...k->...", flat[(d + 1) // 2 - 1], flat[d // 2 - 1])
-            for d in range(2, d_max + 1)]
-    return np.array(out) / n
+    flat = [x.view(np.float64).reshape(x.shape[:-2] + (-1,)) for x in powers]
+    np.einsum("...ii->...", a.real, out=out[0, ...])
+    for d in range(2, d_max + 1):
+        np.einsum("...k,...k->...", flat[(d + 1) // 2 - 1], flat[d // 2 - 1], out=out[d - 1, ...])
+    for row in out.reshape(d_max, -1):
+        row /= n  # row by row: dividing a strided out at once would buffer
+    return out
 
 
 @dataclass(frozen=True)

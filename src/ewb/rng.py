@@ -23,8 +23,9 @@ _MASK_BLOCK_ROWS = 128
 
 
 def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
-    """Independent generator for the 64-bit seed and stream index."""
-    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(int(stream),))
+    """Independent generator for the seed and stream, integers >= 0 (_checks.integer)."""
+    seed, stream = integer(seed, "seed", 0), integer(stream, "stream", 0)
+    ss = np.random.SeedSequence(entropy=seed, spawn_key=(stream,))
     return np.random.Generator(np.random.Philox(seed=ss))
 
 
@@ -36,16 +37,16 @@ def keep_masks(seed: int, trials: int, n: int, p: float) -> np.ndarray:
     trials are requested or in what order they are consumed.  The draws are
     made in blocks of _MASK_BLOCK_ROWS rows; the stream continues across
     blocks, so the bytes equal those of one draw of all rows.  p = 0 and
-    p = 1 short-circuit the generator entirely; any other p outside (0, 1),
-    NaN included, raises ValueError.
+    p = 1 draw nothing (the seed is still checked); any other p outside
+    (0, 1), NaN included, raises ValueError.
     """
     trials = integer(trials, "trials")
     within(p, "keep probability", 0.0, 1.0)
+    rng = make_rng(seed, stream=1)
     if p == 0.0:
         return np.zeros((trials, n), dtype=bool)
     if p == 1.0:
         return np.ones((trials, n), dtype=bool)
-    rng = make_rng(seed, stream=1)
     masks = np.empty((trials, n), dtype=bool)
     for start in range(0, trials, _MASK_BLOCK_ROWS):
         block = masks[start : start + _MASK_BLOCK_ROWS]

@@ -67,6 +67,18 @@ def test_construct_random_byte_deterministic(tmp_path):
     assert out.read_bytes() == first
 
 
+@pytest.mark.parametrize("command", [
+    ["construct", "--kind", "random", "--m", "2", "--n", "5"],
+    ["sweep", "--family", "random", "--m", "2", "--n", "3", "--p", "0.5", "--d", "2",
+     "--trials", "4"],
+])
+def test_negative_seed_exits_2_with_the_house_message(tmp_path, capsys, command):
+    out = tmp_path / "out"
+    assert main(command + ["--seed", "-1", "--out", str(out)]) == 2
+    assert "seed must be an integer in 0..inf, got -1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_construct_nearest_utf(tmp_path, capsys):
     src = tmp_path / "src.json"
     dst = tmp_path / "dst.json"

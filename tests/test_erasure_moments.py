@@ -1,3 +1,7 @@
+import sys
+import threading
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,6 +21,7 @@ from ewb import (
     keep_masks,
     moment_polynomial,
     montecarlo_moment,
+    pooled_subset_eigenvalues,
     random_frame,
     repeated_onb,
     simplex_etf,
@@ -295,28 +300,141 @@ def test_erased_trace_powers_match_gram_submatrices(frame, p):
 
 def test_operator_blocks_fit_the_byte_budget(monkeypatch):
     # n = 256, complex, 4096 trials: every block the Monte Carlo route asks
-    # for fits the budget, whatever n and the trial count
+    # for fits the budget with every array it holds per row (float masks,
+    # operators and, at d = 6, two half-power stacks), whatever n and the
+    # trial count
     f = random_frame(8, 256, "complex", seed=7)
     masks = keep_masks(3, 4096, f.n, 0.5)
     budget = erasure_moments.OPERATOR_BLOCK_BYTES
-    blocks = []
     kernel = erasure_moments.erased_operators
 
-    def recording(frame, rows):
-        for ops in kernel(frame, rows):
-            blocks.append(ops.shape)
+    def recording(frame, rows, scratch_bytes=0):
+        for ops in kernel(frame, rows, scratch_bytes):
+            blocks.append(ops.shape + (scratch_bytes,))
             yield ops
 
     monkeypatch.setattr(erasure_moments, "erased_operators", recording)
-    montecarlo_moment(f, ErasureModel(p=0.5, seed=3), 2, trials=4096)
-    assert sum(b for b, _, _ in blocks) == 4096 and len(blocks) > 1
-    for b, m1, m2 in blocks:
-        assert (m1, m2) == (8, 8)
-        assert b * (8 * f.n + 16 * 8 * 8) <= budget
+    for d in (2, 6):
+        blocks = []
+        montecarlo_moment(f, ErasureModel(p=0.5, seed=3), d, trials=4096)
+        assert sum(b for b, _, _, _ in blocks) == 4096 and len(blocks) > 1
+        for b, m1, m2, scratch_bytes in blocks:
+            assert (m1, m2) == (8, 8)
+            assert scratch_bytes == ((d + 1) // 2 - 1) * 16 * 8 * 8
+            assert b * (8 * f.n + 16 * 8 * 8 + scratch_bytes) <= budget
     # rows come back in order: spot-check the last operator of the last block
     last = list(kernel(f, masks))[-1][-1]
     kept = f.entries[:, masks[-1]]
     assert_allclose(last, kept @ kept.conj().T, rtol=0, atol=1e-12)
+
+
+def test_yielded_operator_stacks_share_one_workspace():
+    f = random_frame(4, 16, "complex", seed=2)
+    masks = keep_masks(8, 1000, f.n, 0.5)
+    first = None
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(erasure_moments, "OPERATOR_BLOCK_BYTES", 64 * (8 * 16 + 16 * 16))
+        for start, ops in zip(range(0, 1000, 64), erasure_moments.erased_operators(f, masks)):
+            first = ops if first is None else first
+            assert np.shares_memory(ops, first) and len(ops) == min(64, 1000 - start)
+            kept = f.entries[:, masks[start + len(ops) - 1]]
+            assert_allclose(ops[-1], kept @ kept.conj().T, rtol=0, atol=1e-12)
+
+
+def test_monte_carlo_pass_runs_in_18_blocks_and_allocates_nothing_per_block(monkeypatch):
+    # complex 16 x 64 at d = 4: 120 operators a block.  tracemalloc's peak
+    # between two yields, less the memory held at the later one, is what a
+    # block allocated and freed; after the first block (which allocates the
+    # workspace) it stays under 4 KiB, the size of numpy's call overhead,
+    # while one row of masks and operators alone is 4.5 KiB
+    f = random_frame(16, 64, "complex", seed=4)
+    kernel = erasure_moments.erased_operators
+    held, spikes = [], []
+
+    def recording(*args):
+        for ops in kernel(*args):
+            cur, peak = tracemalloc.get_traced_memory()
+            held.append(cur)
+            spikes.append(peak - cur)
+            tracemalloc.reset_peak()
+            yield ops
+
+    monkeypatch.setattr(erasure_moments, "erased_operators", recording)
+    tracemalloc.start()
+    try:
+        montecarlo_moment(f, ErasureModel(p=0.5, seed=1), 4, 2048)
+    finally:
+        tracemalloc.stop()
+    assert len(held) == 18
+    assert max(spikes[2:]) < 4096
+    # what a block keeps: the list entries above, nothing of its own
+    assert max(np.diff(held[2:])) < 1024
+
+
+def _mc_peak(frame, d, trials):
+    montecarlo_moment(frame, ErasureModel(p=0.5, seed=5), d, trials)  # warm numpy's caches
+    tracemalloc.start()
+    try:
+        montecarlo_moment(frame, ErasureModel(p=0.5, seed=5), d, trials)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_montecarlo_peak_grows_only_with_the_masks_and_the_output():
+    f = random_frame(16, 64, "complex", seed=6)
+    growth = _mc_peak(f, 4, 8192) - _mc_peak(f, 4, 2048)
+    # bool masks (n bytes per trial) and the (d, trials) float64 output, plus
+    # 4 KiB for Python's own objects
+    assert growth <= 6144 * (f.n + 4 * 8) + 4096
+
+
+def test_montecarlo_holds_the_rank_one_table_to_the_budget():
+    # the n x m^2 complex table alone is 32 MiB here; it is built in slabs
+    f = random_frame(128, 128, "complex", seed=1)
+    assert _mc_peak(f, 2, 16) < 4 * erasure_moments.OPERATOR_BLOCK_BYTES
+
+
+def test_rank_one_table_slabs_give_the_whole_table_result(monkeypatch):
+    f = random_frame(6, 20, "complex", seed=3)
+    masks = keep_masks(2, 300, f.n, 0.4)
+    whole = erasure_moments._erased_trace_powers(f, masks, 4)
+    # a budget of one operator row per slab: six slabs per block
+    monkeypatch.setattr(erasure_moments, "OPERATOR_BLOCK_BYTES", 16 * 6 * 20)
+    slabbed = erasure_moments._erased_trace_powers(f, masks, 4)
+    assert_allclose(slabbed, whole, rtol=1e-13, atol=0)
+    assert_allclose(whole, literal_trace_powers(f, masks, 4), rtol=1e-12, atol=1e-14)
+
+
+def test_threads_sharing_a_frame_get_the_serial_bits():
+    # four threads on two cores, two per route with different draws: a
+    # workspace shared between calls of one route would mix their blocks
+    f = random_frame(8, 32, "complex", seed=9)
+    runs = {}
+    for p, seed in ((0.6, 2), (0.3, 5)):
+        model = ErasureModel(p=p, seed=seed)
+        runs["mc", p] = lambda model=model: montecarlo_moment(f, model, 4, 3000).values
+        runs["ks", p] = lambda model=model: pooled_subset_eigenvalues(f, model, 700).tobytes()
+    serial = {k: run() for k, run in runs.items()}
+    got = {}
+    barrier = threading.Barrier(len(runs))
+
+    def worker(k):
+        barrier.wait()
+        got[k] = [runs[k]() for _ in range(4)]
+
+    threads = [threading.Thread(target=worker, args=(k,)) for k in runs]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert all(v == serial[k] for k in runs for v in got[k])
 
 
 _F = harmonic_etf(7)

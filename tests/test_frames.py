@@ -477,11 +477,17 @@ def test_trace_powers_depend_on_the_order_alone(field, shape):
 
 
 class CountingArray(np.ndarray):
+    """Counts matrix products, `@` and `np.matmul(..., out=)` alike: both reach
+    the matmul ufunc through __array_ufunc__."""
+
     products = 0
 
-    def __matmul__(self, other):
-        CountingArray.products += 1
-        return super().__matmul__(other)
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        CountingArray.products += ufunc is np.matmul
+        plain = lambda x: x.view(np.ndarray) if isinstance(x, CountingArray) else x  # noqa: E731
+        if "out" in kwargs:
+            kwargs["out"] = tuple(plain(x) for x in kwargs["out"])
+        return getattr(ufunc, method)(*map(plain, inputs), **kwargs)
 
 
 @pytest.mark.parametrize("shape", [(), (4,)], ids=["one", "stack"])

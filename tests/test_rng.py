@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ewb import keep_masks, make_rng, rng
+from ewb import keep_masks, make_rng, random_frame, rng
 
 
 @settings(max_examples=50, deadline=None)
@@ -49,3 +50,26 @@ def test_keep_masks_peak_memory_is_bounded_by_its_output():
         tracemalloc.stop()
     assert masks.nbytes == 200_000 * 64
     assert peak < 2 * masks.nbytes
+
+
+@pytest.mark.parametrize("seed", [2.7, 9.9, float("nan"), float("inf"), -1, True])
+def test_seeds_and_streams_must_be_integers_from_zero(seed):
+    def raises(what):
+        return pytest.raises(ValueError, match=re.escape(f"{what} must be an integer in 0..inf, got {seed}"))
+
+    with raises("seed"):
+        make_rng(seed)
+    with raises("stream"):
+        make_rng(0, stream=seed)
+    with raises("seed"):
+        random_frame(3, 8, seed=seed)
+    for p in (0.0, 0.5, 1.0):  # p = 0 and 1 draw nothing, but still check the seed
+        with raises("seed"):
+            keep_masks(seed, 4, 9, p)
+
+
+def test_integral_float_seeds_keep_the_integer_bytes():
+    np.testing.assert_array_equal(random_frame(3, 8, seed=2.0).entries,
+                                  random_frame(3, 8, seed=2).entries)
+    np.testing.assert_array_equal(keep_masks(9.0, 5, 11, 0.3), keep_masks(9, 5, 11, 0.3))
+    assert make_rng(2**70, stream=3).random() == make_rng(2**70, stream=3.0).random()

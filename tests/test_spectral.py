@@ -23,6 +23,7 @@ from ewb import (
     quantile_many,
     random_frame,
     simplex_etf,
+    spectral,
     subset_spectrum_samples,
     support,
 )
@@ -309,8 +310,9 @@ def test_property_pooled_route_is_the_pool_of_the_spectra(field, m, extra, p, tr
     model = ErasureModel(p=p, seed=seed)
     with pytest.MonkeyPatch.context() as mp:
         if rows is not None:
-            # `rows` operators per block: 8n mask bytes plus the m x m operator per row
-            per_row = 8 * frame.n + frame.entries.itemsize * m * m
+            # `rows` operators per block: 8n mask bytes plus the m x m operator per
+            # row, which the KS route counts eight times over
+            per_row = 8 * (8 * frame.n + frame.entries.itemsize * m * m)
             mp.setattr(erasure_moments, "OPERATOR_BLOCK_BYTES", rows * per_row)
         got = pooled_subset_eigenvalues(frame, model, trials)
         want = pool_eigenvalues(subset_spectrum_samples(frame, model, trials), frame.m)
@@ -340,3 +342,20 @@ def test_eigenvalues_reject_non_finite_entries(a, psd):
 def test_ks_distance_rejects_non_finite_pool(pool):
     with pytest.raises(ValueError, match="finite"):
         ks_distance(np.array(pool), ManovaParams(gamma=0.5, p=0.5))
+
+
+def test_ks_route_keeps_blocks_of_128_kib_of_masks_and_operators(monkeypatch):
+    # it allocates its eigen-check temporaries on every block, so its blocks
+    # stay at an eighth of the budget
+    f = random_frame(16, 64, "real", seed=1)
+    kernel = erasure_moments.erased_operators
+    sizes = []
+
+    def recording(*args):
+        for ops in kernel(*args):
+            sizes.append(len(ops))
+            yield ops
+
+    monkeypatch.setattr(spectral, "erased_operators", recording)
+    pooled_subset_eigenvalues(f, ErasureModel(p=0.5, seed=2), 200)
+    assert sizes == [51, 51, 51, 47]  # 128 KiB // (8 n + 8 m^2) = 51
