@@ -327,18 +327,25 @@ def cmd_manova(args) -> int:
 
 
 def _sweep_frames(args, seed: int):
-    """Yield (frame_seed, Frame) over the sorted option grid, one frame at a
-    time, so that only one frame's cached invariants are alive at once."""
+    """(frame_seed, Frame) over the sorted option grid, walked lazily and built
+    one at a time, so that only one frame's cached invariants are alive at once.
+    Every cell's checks run in this call, before the first frame: each cell is
+    built once at the first frame seed (the seeds only grow from there)."""
     needs, recorded, build = CONSTRUCTIONS[args.family]
     _require(args, needs, f"{args.family} sweep")
     lists = [sorted(getattr(args, k)) for k in needs]
     cells = [dict(zip(needs, vals)) for vals in itertools.product(*lists)]
-    seeds = [seed + i for i in range(args.num_seeds)] if "seed" in recorded else [None]
-    grid = [(c, s) for c in cells if "n" not in c or c["n"] >= c["m"] for s in seeds]
-    if not grid:
+    cells = [c for c in cells if "n" not in c or c["n"] >= c["m"]]
+    if not cells:
         raise ValueError("no valid (m, n) pairs with n >= m in the sweep grid")
-    for cell, frame_seed in grid:
-        yield frame_seed, build(argparse.Namespace(**{**vars(args), **cell, "seed": frame_seed}))
+    seeds = range(seed, seed + args.num_seeds) if "seed" in recorded else [None]
+
+    def frame(cell, frame_seed):
+        return build(argparse.Namespace(**{**vars(args), **cell, "seed": frame_seed}))
+
+    for cell in cells:
+        frame(cell, seeds[0])
+    return ((s, frame(cell, s)) for cell in cells for s in seeds)
 
 
 def cmd_sweep(args) -> int:
@@ -348,41 +355,37 @@ def cmd_sweep(args) -> int:
         within(args.trials, "KS trials", 1, math.inf)
     within(args.num_seeds, "random frames per (m, n)", 1, math.inf)
     seed = _resolve_seed(args)
-
+    frames = _sweep_frames(args, seed)  # the last check: the output opens after it
     violations = 0
-    rows = []
-    counter = 0
-    for frame_seed, frame in _sweep_frames(args, seed):
-        for p in ps:
-            ks = ""
-            err_ks = ""
+
+    def rows():
+        """Each CSV row as it is made, so that no row is kept."""
+        nonlocal violations
+        grid = ((seed_frame, p) for seed_frame in frames for p in ps)
+        for counter, ((frame_seed, frame), p) in enumerate(grid):
+            ks = err_ks = ""
             if args.trials:
-                # per-row erasure seed, fixed by position in the sorted grid
-                ks_seed = seed + 1_000_003 * counter
                 try:
-                    pooled = pooled_subset_eigenvalues(
-                        frame, ErasureModel(p=p, seed=ks_seed), args.trials
-                    )
+                    # per-row erasure seed, fixed by position in the sorted grid
+                    model = ErasureModel(p=p, seed=seed + 1_000_003 * counter)
+                    pooled = pooled_subset_eigenvalues(frame, model, args.trials)
                     ks = _fmt(ks_distance(pooled, ManovaParams(gamma=frame.m / frame.n, p=p)))
                 except ValueError as exc:
                     err_ks = f"ks: {exc}"
-            counter += 1
             for d in ds:
                 base = [args.family, frame.m, frame.n, "" if frame_seed is None else frame_seed,
                         _fmt(p), d]
                 try:
                     rep = check_theorem(frame, p, d)
-                    if rep.equality_class == VIOLATION:
-                        violations += 1
-                    rows.append(
-                        base + [_fmt(rep.moment), _fmt(rep.bound), _fmt(rep.slack), ks, err_ks]
-                    )
                 except ValueError as exc:
-                    rows.append(base + ["", "", "", ks, str(exc)])
+                    yield base + ["", "", "", ks, str(exc)]
+                    continue
+                violations += rep.equality_class == VIOLATION
+                yield base + [_fmt(rep.moment), _fmt(rep.bound), _fmt(rep.slack), ks, err_ks]
 
     header = ["family", "m", "n", "seed", "p", "d", "moment", "bound", "slack", "ks_distance",
               "error"]
-    _write_csv(args, _manifest(args, seed=seed), header, rows)
+    _write_csv(args, _manifest(args, seed=seed), header, rows())
     if violations:
         print(f"error: {violations} bound violation(s) detected", file=sys.stderr)
         return 1

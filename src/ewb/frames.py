@@ -65,7 +65,9 @@ class Frame:
             raise ValueError(f"need n >= m >= 1, got m={m}, n={n}")
         if not np.isfinite(ent).all():
             raise ValueError("entries must be finite")
-        norms = np.linalg.norm(ent, axis=0)
+        # over the float view, a complex entry is its (re, im) pair: no temporary
+        pairs = ent.view(np.float64).reshape(m, n, -1)
+        norms = np.sqrt(np.einsum("ijk,ijk->j", pairs, pairs))
         worst = float(np.max(np.abs(norms - 1.0)))
         if worst > NORM_TOL:
             raise ValueError(f"column norms deviate from 1 by {worst:.3e} (tol {NORM_TOL:.0e})")
@@ -151,19 +153,24 @@ class FrameInvariants:
 
 
 def frame_invariants(frame: Frame) -> FrameInvariants:
-    """One Gram product, and one product FF'FF' for the traces; Frame.invariants
-    caches the result."""
+    """One Gram product, symmetrized in place, and one product FF'FF' for the
+    traces; Frame.invariants caches the result."""
     ent, m, n = frame.entries, frame.m, frame.n
     g = ent.conj().T @ ent
-    upper = np.triu(g, 1)
-    g = upper + upper.conj().T + np.eye(n, dtype=g.dtype)
+    # in place, 64 rows at a time: the lower triangle becomes the upper one's conjugate
+    for i in range(0, n, 64):
+        j = min(i + 64, n)
+        below = np.arange(j) < np.arange(i, j)[:, None]
+        np.copyto(g[i:j, :j], np.conjugate(g[:j, i:j].T), where=below)
+    np.fill_diagonal(g, 1.0)
+    g += 0.0  # no -0.0 entry: the Gram's bits are those of upper + upper' + I
     ffh = ent @ ent.conj().T
     g.setflags(write=False)
     ffh.setflags(write=False)
     sq = np.abs(g) ** 2
     off = sq[~np.eye(n, dtype=bool)]  # empty when n = 1
     np.fill_diagonal(sq, 0.0)
-    max_sq = float(off.max(initial=0.0))
+    max_sq, floor = float(off.max(initial=0.0)), welch_floor(m, n)
     return FrameInvariants(
         gram=g,
         ffh=ffh,
@@ -174,7 +181,8 @@ def frame_invariants(frame: Frame) -> FrameInvariants:
         # the rounded mean of nearly equal values can exceed their max
         rms_sq=min(float(off.sum() / max(n * (n - 1), 1)), max_sq),
         max_sq=max_sq,
-        etf_gap=float(np.max(np.abs(off - welch_floor(m, n)), initial=0.0)),
+        # x - floor rounds monotonically in x: max |x - floor| is at an extreme of off
+        etf_gap=max(float(off.max(initial=floor)) - floor, floor - float(off.min(initial=floor))),
         utf_residual=float(np.linalg.norm(ffh - (n / m) * np.eye(m))),
     )
 
@@ -219,7 +227,7 @@ def _normalize_columns(ent: np.ndarray) -> np.ndarray:
     norms = np.linalg.norm(ent, axis=0)
     if np.any(norms <= 1e-14):
         raise ValueError("cannot normalize a zero column")
-    return ent / norms
+    return np.divide(ent, norms, out=ent)  # in place: every caller passes a fresh array
 
 
 def random_frame(m: int, n: int, field: str = REAL, seed: int = 0) -> Frame:
@@ -287,9 +295,9 @@ def harmonic_etf(q: int) -> Frame:
     if not _is_prime(q) or q % 4 != 3:
         raise ValueError(f"q must be prime with q = 3 (mod 4), got {q}")
     residues = sorted({(k * k) % q for k in range(1, q)})
-    rows = np.array([0] + residues)
-    cols = np.arange(q)
-    ent = np.exp(-2j * np.pi * np.outer(rows, cols) / q) / np.sqrt(q)
+    ent = -2j * np.pi * np.outer([0] + residues, np.arange(q))
+    np.exp(np.divide(ent, q, out=ent), out=ent)  # exp(ent / q) / sqrt(q), in place
+    ent /= np.sqrt(q)
     return Frame(field=COMPLEX, entries=_normalize_columns(ent))
 
 
@@ -343,42 +351,55 @@ def nearest_utf(frame: Frame, max_iters: int = 500, tol: float = 1e-9) -> Neares
 # row-major rows, complex entries as [re, im], then the extra keys}, laid out
 # byte for byte as json.dumps(obj, indent=1) + "\n".  Floats are written with
 # float.__repr__ (shortest round-trip), so saved frames reload bit-identically,
-# signed zeros included.  CSV is accepted for real frames only (m rows by n
-# columns).
+# signed zeros included; the reader decodes the data array one row at a time.
+# CSV is accepted for real frames only (m rows by n columns).
 # ---------------------------------------------------------------------------
 
 _FRAME_KEYS = ("field", "m", "n", "data")
+_JSON, _SPACE = json.JSONDecoder(), json.decoder.WHITESPACE.match
 
 
-def frame_from_json_obj(obj) -> Frame:
-    if not isinstance(obj, dict):
-        raise ValueError("frame JSON must be an object")
-    field, m, n, data = obj["field"], obj["m"], obj["n"], obj["data"]
-    if field not in (REAL, COMPLEX):
-        raise ValueError(f"unknown field {field!r}")
-    # type(), not isinstance(): JSON true and false load as bool, an int subclass
-    if type(m) is not int or type(n) is not int:
-        raise ValueError(f"frame m and n must be JSON integers, got {m!r} and {n!r}")
-    if not isinstance(data, list) or not all(isinstance(row, list) for row in data):
-        raise ValueError("frame data must be a list of rows")
-    if len(data) != m or any(len(row) != n for row in data):
-        raise ValueError("data shape does not match declared (m, n)")
-    values = list(itertools.chain.from_iterable(data))
-    if field == COMPLEX:
-        if set(map(type, values)) - {list} or set(map(len, values)) - {2}:
-            raise ValueError("complex data entries must be [re, im] pairs")
-        values = list(itertools.chain.from_iterable(values))
-    # numpy would read the string "1.0" and the JSON true as numbers
-    if not set(map(type, values)) <= {int, float}:
-        raise ValueError("frame entries must be JSON numbers")
+def _row(s: str, idx: int):
+    """The JSON value at s[idx] as a float64 data row, (n, 1) for numbers and
+    (n, 2) for [re, im] pairs, or the ValueError of a value that is neither;
+    and the index after it.  Only this one row's objects are ever built."""
+    row, end = _JSON.scan_once(s, idx)
+    pairs = type(row) is list and set(map(type, row)) == {list}
+    values = list(itertools.chain.from_iterable(row)) if pairs else row
+    # type(), not isinstance(): numpy would read "1.0" and JSON true (a bool) as numbers
+    if (type(row) is not list or set(map(type, values)) - {int, float}
+            or pairs and set(map(len, row)) != {2}):
+        return ValueError("frame data must be rows of JSON numbers or of [re, im] pairs"), end
     try:
-        raw = np.array(values, dtype=np.float64).reshape(m, n, -1)
+        return np.array(values, dtype=np.float64).reshape(-1, 1 + pairs), end
     except OverflowError as exc:
-        raise ValueError(f"frame entries must be finite numbers ({exc})") from None
-    # a complex entry reinterprets its (re, im) pair in place: re + 1j*im
-    # would turn a -0.0 real part into +0.0
-    ent = raw if field == REAL else raw.view(np.complex128)
-    return Frame(field=field, entries=ent[..., 0])
+        return ValueError(f"frame entries must be finite numbers ({exc})"), end
+
+
+def _decode_frame_json(s: str) -> dict:
+    """The top-level object of frame JSON text, parsed by json's own object and
+    array parsers, so that it accepts exactly what json.loads does (the last of
+    duplicate keys wins).  An array value is parsed through _row, one item at a
+    time: "data" becomes a list of _row results, and an array under another key
+    is decoded again, whole."""
+    idx = _SPACE(s).end()
+    if not s.startswith("{", idx):  # a leading BOM is not whitespace either
+        raise ValueError("frame JSON must be an object")
+
+    def value(s, idx):
+        if not s.startswith("[", idx):
+            return _JSON.scan_once(s, idx)
+        rows, end = json.decoder.JSONArray((s, idx + 1), _row)
+        return (idx, rows), end  # a tuple: no JSON value decodes to one
+
+    obj, end = json.decoder.JSONObject((s, idx + 1), True, value, None, None)
+    end = _SPACE(s, end).end()
+    if end != len(s):
+        raise json.JSONDecodeError("Extra data", s, end)
+    for k, v in obj.items():
+        if type(v) is tuple:
+            obj[k] = v[1] if k == "data" else _JSON.raw_decode(s, v[0])[0]
+    return obj
 
 
 def save_frame(frame: Frame, path: str | Path, extra: dict | None = None) -> None:
@@ -413,16 +434,32 @@ def save_frame(frame: Frame, path: str | Path, extra: dict | None = None) -> Non
 
 
 def read_frame(path: str | Path) -> tuple[Frame, dict]:
-    """One parse of a frame file: the frame and the file's other top-level
-    keys (none for CSV)."""
+    """One parse of a frame file: the frame and the file's other top-level keys
+    (none for CSV).  Peak memory: the text, one row's objects, the frame's arrays."""
     path = Path(path)
     if path.suffix.lower() == ".csv":
         with open(path, newline="") as fh:
             rows = [[float(v) for v in row] for row in csv.reader(fh) if row]
         return Frame(field=REAL, entries=np.array(rows, dtype=np.float64)), {}
-    obj = json.loads(path.read_text())
-    frame = frame_from_json_obj(obj)
-    return frame, {k: v for k, v in obj.items() if k not in _FRAME_KEYS}
+    obj = _decode_frame_json(path.read_text())  # the text is freed on return
+    field, m, n, rows = obj["field"], obj["m"], obj["n"], obj.pop("data")
+    if field not in (REAL, COMPLEX):
+        raise ValueError(f"unknown field {field!r}")
+    # type(), not isinstance(): JSON true and false load as bool, an int subclass
+    if type(m) is not int or type(n) is not int:
+        raise ValueError(f"frame m and n must be JSON integers, got {m!r} and {n!r}")
+    if not isinstance(rows, list):
+        raise ValueError("frame data must be a list of rows")
+    for row in rows:
+        if isinstance(row, ValueError):
+            raise row
+    if len(rows) != m or any(row.shape != (n, 1 + (field == COMPLEX)) for row in rows):
+        raise ValueError(f"data shape does not match declared (m, n) and {field} entries")
+    raw = np.stack(rows)
+    # a complex entry reinterprets its (re, im) pair in place: re + 1j*im
+    # would turn a -0.0 real part into +0.0
+    ent = raw if field == REAL else raw.view(np.complex128)
+    return Frame(field, ent[..., 0]), {k: v for k, v in obj.items() if k not in _FRAME_KEYS}
 
 
 def load_frame(path: str | Path) -> Frame:

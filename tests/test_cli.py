@@ -1,6 +1,7 @@
 import csv
 import gc
 import json
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -294,18 +295,18 @@ def test_malformed_frame_json_is_validation_error(tmp_path, capsys, command, obj
 
 def test_bound_reads_and_decodes_frame_file_once(etf_file, tmp_path, monkeypatch):
     reads, decodes = [], []
-    read_text, loads = Path.read_text, json.loads
+    read_text, decode = Path.read_text, frames._decode_frame_json
 
     def counting_read_text(self, *args, **kwargs):
         reads.append(str(self))
         return read_text(self, *args, **kwargs)
 
-    def counting_loads(text, *args, **kwargs):
+    def counting_decode(text):
         decodes.append(len(text))
-        return loads(text, *args, **kwargs)
+        return decode(text)
 
     monkeypatch.setattr(Path, "read_text", counting_read_text)
-    monkeypatch.setattr(json, "loads", counting_loads)
+    monkeypatch.setattr(frames, "_decode_frame_json", counting_decode)
     out = tmp_path / "b.json"
     assert main(["bound", "--frame", etf_file, "--p", "0.5", "--d", "2", "--out", str(out)]) == 0
     monkeypatch.undo()
@@ -496,6 +497,54 @@ def test_sweep_rejects_num_seeds_below_one_before_any_row(tmp_path, capsys, fami
                  "--num-seeds", num_seeds, "--out", str(out)]) == 2
     assert not out.exists()
     assert "random frames per (m, n) must be in 1..inf" in capsys.readouterr().err
+
+
+def test_sweep_checks_every_cell_before_the_output_opens(tmp_path, capsys):
+    out = tmp_path / "s.csv"
+    assert main(["sweep", "--family", "harmonic", "--q", "7,9", "--p", "0.5", "--d", "2",
+                 "--out", str(out)]) == 2
+    assert not out.exists()
+    assert "q must be prime" in capsys.readouterr().err
+
+
+def test_sweep_walks_a_huge_seed_count_lazily():
+    def first(num_seeds):
+        args = build_parser().parse_args(["sweep", "--family", "random", "--m", "2", "--n", "3",
+                                          "--p", "0.5", "--d", "2", "--num-seeds", str(num_seeds)])
+        return next(iter(_sweep_frames(args, 7)))
+
+    tracemalloc.start()
+    try:
+        first(10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # lists of the seeds and of the grid took about 100 MB here, and would grow
+    # without bound below, so this bound is checked first
+    assert peak < 1 << 20
+    frame_seed, frame = first(10**30)
+    assert frame_seed == 7 and (frame.m, frame.n) == (2, 3)
+
+
+def sweep_peak(tmp_path, num_seeds):
+    out = tmp_path / f"s{num_seeds}.csv"
+    argv = ["sweep", "--family", "random", "--m", "2,3", "--n", "6", "--p",
+            "0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9", "--d", "2,3,4",
+            "--num-seeds", str(num_seeds), "--seed", "1", "--out", str(out)]
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(read_csv(str(out))[1]) == 1 + 2 * num_seeds * 27
+    return peak
+
+
+def test_sweep_memory_does_not_grow_with_its_rows(tmp_path):
+    sweep_peak(tmp_path, 4)
+    # 40 seeds write 2160 rows; kept until the end they took about 1 MB
+    assert sweep_peak(tmp_path, 40) <= sweep_peak(tmp_path, 4) + 64 * 1024
 
 
 def test_sweep_pools_ks_eigenvalues_without_per_trial_spectra(tmp_path, monkeypatch):

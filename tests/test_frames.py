@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from ewb import (
     simplex_etf,
     welch_floor,
 )
+from ewb import frames
 from ewb.frames import trace_powers
 
 
@@ -497,3 +499,181 @@ def test_trace_powers_multiply_out_only_the_half_powers(shape):
         CountingArray.products = 0
         trace_powers(a, 3, d_max)
         assert CountingArray.products == (d_max + 1) // 2 - 1
+
+
+def json_loads_frame(text):
+    """The reference reader: json.loads of the whole text, then the frame checks
+    on the parsed tree (ValueError or KeyError, as read_frame raises them)."""
+    obj = json.loads(text)
+    if not isinstance(obj, dict):
+        raise ValueError("frame JSON must be an object")
+    field, m, n, data = obj["field"], obj["m"], obj["n"], obj["data"]
+    if field not in ("real", "complex") or type(m) is not int or type(n) is not int:
+        raise ValueError("bad header")
+    if not isinstance(data, list) or not all(isinstance(row, list) for row in data):
+        raise ValueError("bad data")
+    if len(data) != m or any(len(row) != n for row in data):
+        raise ValueError("bad shape")
+    values = [v for row in data for v in row]
+    if field == "complex":
+        if any(type(v) is not list or len(v) != 2 for v in values):
+            raise ValueError("bad pair")
+        values = [x for v in values for x in v]
+    if any(type(v) not in (int, float) for v in values):
+        raise ValueError("bad entry")
+    try:
+        raw = np.array(values, dtype=np.float64).reshape(m, n, -1)
+    except OverflowError as exc:
+        raise ValueError(str(exc)) from None
+    ent = raw if field == "real" else raw.view(np.complex128)
+    extra = {k: v for k, v in obj.items() if k not in ("field", "m", "n", "data")}
+    return Frame(field=field, entries=ent[..., 0]), extra
+
+
+REAL_1X2 = '"field": "real", "m": 1, "n": 2'
+FRAME_TEXTS = {
+    # accepted
+    "saved layout": None,
+    "keys in any order": '{"n": 2, "data": [[1.0, -1]], "field": "real", "m": 1}',
+    "data first": '{"data": [[[0.6, 0.8]]], "field": "complex", "m": 1, "n": 1}',
+    "extra keys": '{' + REAL_1X2 + ', "data": [[1, 1]], "x": [1, {"y": null}], "z": "s"}',
+    "tabs, CR, newlines": '\t{\r\n' + REAL_1X2 + ' ,\n"data"\t:\r[ [1.0 ,\n-1.0 ] ]\r\n}\n\t',
+    "duplicate keys": '{' + REAL_1X2 + ', "data": [["x"]], "m": 1, "data": [[1.0, 1.0]]}',
+    "duplicate field": '{"field": "real", "m": 1, "n": 1, "data": [[[1.0, -0.0]]], '
+                       '"field": "complex", "data": [[[-0.0, -1.0]]]}',
+    "signed zeros": '{' + REAL_1X2 + ', "data": [[-0.0, 1.0]]}',
+    "int entries": '{' + REAL_1X2 + ', "data": [[1, 0]]}',
+    # rejected
+    "trailing comma in data": '{' + REAL_1X2 + ', "data": [[1.0, 1.0],]}',
+    "trailing comma in object": '{' + REAL_1X2 + ', "data": [[1.0, 1.0]],}',
+    "data after the object": '{' + REAL_1X2 + ', "data": [[1.0, 1.0]]} {}',
+    "BOM": '\ufeff{' + REAL_1X2 + ', "data": [[1.0, 1.0]]}',
+    "NaN": '{' + REAL_1X2 + ', "data": [[NaN, 1.0]]}',
+    "Infinity": '{' + REAL_1X2 + ', "data": [[1.0, -Infinity]]}',
+    "string entry": '{' + REAL_1X2 + ', "data": [["1.0", 1.0]]}',
+    "bool entry": '{' + REAL_1X2 + ', "data": [[true, 1.0]]}',
+    "null data": '{' + REAL_1X2 + ', "data": null}',
+    "bad row after a good data": '{' + REAL_1X2 + ', "data": [[1.0, 1.0]], "data": [[1, true]]}',
+    "ragged rows": '{"field": "real", "m": 2, "n": 2, "data": [[1.0, 0.0], [1.0]]}',
+    "3-element pair": '{"field": "complex", "m": 1, "n": 1, "data": [[[1.0, 0.0, 0.0]]]}',
+    "pair in a real frame": '{' + REAL_1X2 + ', "data": [[[1.0, 0.0], 1.0]]}',
+    "number in a complex frame": '{"field": "complex", "m": 1, "n": 1, "data": [[1.0]]}',
+    "int past the float range": '{' + REAL_1X2 + ', "data": [[1' + '0' * 400 + ', 1.0]]}',
+    "top-level array": '[1, 2]',
+    "missing data": '{' + REAL_1X2 + '}',
+    "unquoted key": '{' + REAL_1X2 + ', data: [[1.0, 1.0]]}',
+    "missing colon": '{' + REAL_1X2 + ', "data" [[1.0, 1.0]]}',
+    "missing comma": '{' + REAL_1X2 + ' "data": [[1.0, 1.0]]}',
+    "unclosed data": '{' + REAL_1X2 + ', "data": [[1.0, 1.0]',
+    "empty": '',
+}
+
+
+@pytest.mark.parametrize("name", sorted(FRAME_TEXTS))
+def test_read_frame_matches_json_loads_plus_checks(tmp_path, name):
+    path = tmp_path / "f.json"
+    text = FRAME_TEXTS[name]
+    if text is None:
+        save_frame(harmonic_etf(7), path, extra={"construction": {"kind": "harmonic", "q": 7}})
+        text = path.read_text()
+    path.write_text(text, encoding="utf-8")
+    try:
+        want = json_loads_frame(text)
+    except (ValueError, KeyError) as exc:
+        with pytest.raises(type(exc) if isinstance(exc, KeyError) else ValueError):
+            frames.read_frame(path)
+        return
+    got = frames.read_frame(path)
+    assert got[0].field == want[0].field
+    assert got[0].entries.tobytes() == want[0].entries.tobytes()  # sign bits too
+    assert got[1] == want[1] and list(got[1]) == list(want[1])
+
+
+MUTATIONS = list('{}[],:" \t\r\n-.eE019') + [
+    "true", "null", "NaN", "-Infinity", '"data"', '"field"', '"m"', '"n"', "\ufeff", "1e400",
+    "1" + "0" * 400, "[1.0, -0.0]", "\\u0061", '"complex"',
+]
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    base=st.sampled_from(sorted(k for k, v in FRAME_TEXTS.items() if v)),
+    edits=st.lists(st.tuples(st.integers(0, 10**6), st.sampled_from(["cut", "insert", "swap"]),
+                             st.sampled_from(MUTATIONS)), min_size=1, max_size=3),
+)
+def test_property_read_frame_matches_json_loads_on_mutated_texts(tmp_path, base, edits):
+    text = FRAME_TEXTS[base]
+    for at, kind, token in edits:
+        at %= len(text) + 1
+        text = text[:at] + ("" if kind == "cut" else token) + text[at + (kind != "insert"):]
+    path = tmp_path / "f.json"
+    path.write_text(text, encoding="utf-8")
+    try:
+        want = json_loads_frame(text)
+    except (ValueError, KeyError) as exc:
+        with pytest.raises(type(exc) if isinstance(exc, KeyError) else ValueError):
+            frames.read_frame(path)
+        return
+    got = frames.read_frame(path)
+    assert got[0].field == want[0].field
+    assert got[0].entries.tobytes() == want[0].entries.tobytes()
+    assert got[1] == want[1]
+
+
+def test_read_frame_memory_is_bounded_by_the_text(tmp_path):
+    path = tmp_path / "h131.json"
+    save_frame(harmonic_etf(131), path)
+    frames.read_frame(path)
+    tracemalloc.start()
+    try:
+        frames.read_frame(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the file's bytes and its decoded text at once; json.loads' tree was 3.7x
+    assert peak <= 2.5 * path.stat().st_size
+
+
+def test_frame_invariants_memory_is_a_few_grams():
+    frame = harmonic_etf(131)
+    frames.frame_invariants(frame)
+    tracemalloc.start()
+    try:
+        frames.frame_invariants(frame)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.2 * 131 * 131 * 16  # the symmetrizing sums took 4.5
+
+
+def test_harmonic_etf_memory_is_a_few_frames():
+    harmonic_etf(131)
+    tracemalloc.start()
+    try:
+        frame = harmonic_etf(131)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.5 * frame.entries.nbytes  # a fresh array per operation took 5.0
+
+
+def symmetrized_gram(ent):
+    """The Gram as the sum upper + upper' + I of its strict upper triangle."""
+    g = ent.conj().T @ ent
+    upper = np.triu(g, 1)
+    return upper + upper.conj().T + np.eye(g.shape[0], dtype=g.dtype)
+
+
+@pytest.mark.parametrize("frame", [
+    random_frame(3, 7, "real", seed=1),
+    random_frame(5, 150, "complex", seed=2),  # three row blocks of the mirror
+    random_frame(1, 1, "complex", seed=3),
+    random_frame(4, 4, "real", seed=4),
+    harmonic_etf(131),
+    repeated_onb(3, 2),
+    Frame(field="real", entries=np.array([[-0.0, 1.0, -0.0], [-1.0, -0.0, -1.0]])),
+    Frame(field="complex", entries=np.array([[complex(-0.0, 1.0), complex(1.0, -0.0)],
+                                             [complex(-0.0, -0.0), complex(-0.0, 0.0)]])),
+], ids=["real", "complex-blocks", "n1", "n-eq-m", "h131", "onb", "signed-real", "signed-complex"])
+def test_gram_has_the_bits_of_the_symmetrized_sum(frame):
+    assert gram(frame).tobytes() == symmetrized_gram(frame.entries).tobytes()
