@@ -38,7 +38,8 @@ class BoundReport:
     equality_class is "violation" iff slack < -tol (an implementation bug or
     an invalid frame -- never expected); "ETF-equality"/"UTF-equality" iff
     |slack| <= tol and the corresponding frame predicate holds (ETF checked
-    first, being the stronger); otherwise "strict".  A non-finite slack is
+    first, being the stronger; "UTF-equality" not at d = 4 with 0 < p < 1,
+    where only ETFs attain the bound); otherwise "strict".  A non-finite slack is
     never classified: building the report raises ValueError.
     """
 
@@ -75,9 +76,11 @@ def _report(frame, moment, bound, p, d, tol) -> BoundReport:
     if not math.isfinite(slack):
         raise ValueError(f"slack must be finite, got {slack}")
     cls = VIOLATION if slack < -tol else STRICT
-    # the frame predicates run only for a slack within tol of 0
+    # the frame predicates run only for a slack within tol of 0; at d = 4 and
+    # 0 < p < 1 the bound is attained by ETFs alone, so a UTF there is strict
     if abs(slack) <= tol:
-        cls = ETF_EQUALITY if is_etf(frame) else UTF_EQUALITY if is_utf(frame) else STRICT
+        utf = (d < 4 or p in (0.0, 1.0)) and is_utf(frame)
+        cls = ETF_EQUALITY if is_etf(frame) else UTF_EQUALITY if utf else STRICT
     return BoundReport(m=frame.m, n=frame.n, p=float(p), d=d, moment=moment, bound=bound,
                        slack=slack, equality_class=cls)
 

@@ -18,8 +18,8 @@ double-precision underflow for p >= 1e-9 at n <= 24 (no log-space arithmetic).
 
 The oracle, the Monte Carlo route and spectral.subset_spectrum_samples never
 form a kept-column Gram submatrix G_S: its nonzero spectrum is that of the
-m-by-m erased frame operator F D_S F'.  erased_operators refills blocks of them in
-one workspace per call (no module-level buffer), within OPERATOR_BLOCK_BYTES.
+m-by-m erased frame operator F D_S F'.  erased_operators alone sizes blocks of
+them and of its caller's scratch stacks to OPERATOR_BLOCK_BYTES, one workspace per call.
 """
 
 from __future__ import annotations
@@ -38,8 +38,8 @@ BRUTEFORCE_MAX_N = 24
 BRUTEFORCE_CHUNK = 8192
 
 # Bytes of one erased_operators block: B x n float masks, B x m x m operators and
-# the scratch stacks a caller keeps per row, allocated once per call and refilled
-# per block; also the size of a rank-one table slab.  1 MiB fits a 2 MiB L2.
+# the B x m x m scratch stacks its caller asks for, allocated once per call and
+# refilled per block; also the size of a rank-one table slab.  1 MiB fits a 2 MiB L2.
 OPERATOR_BLOCK_BYTES = 1 << 20
 
 
@@ -131,24 +131,25 @@ def expected_moment(frame: Frame, p: float, d: int) -> float:
     return moment_polynomial(frame, d).evaluate(p)
 
 
-def erased_operators(frame: Frame, masks: np.ndarray, scratch_bytes: int = 0):
-    """Yield B x m x m stacks S[b] = F diag(mask_b) F' for consecutive blocks of
-    the (trials, n) 0/1 mask rows: one GEMM of the masks onto the n rank-one
-    products f_k f_k', B as large as OPERATOR_BLOCK_BYTES allows (at least 1)
-    when each row also holds `scratch_bytes` of the caller's stacks.
+def erased_operators(frame: Frame, masks: np.ndarray, scratch=()):
+    """Yield (S, *stacks) for consecutive blocks of the (trials, n) 0/1 mask rows:
+    S[b] = F diag(mask_b) F' from one GEMM of the masks onto the n rank-one
+    products f_k f_k', and a B x m x m stack for each dtype in scratch, B as
+    large as OPERATOR_BLOCK_BYTES allows (at least 1) for all of them.
 
     tr(S[b]^d) = tr(G_S^d); the top min(|S|, m) eigenvalues of S[b] are those
-    of G_S.  Masks and operators are allocated once per call: each stack yielded
+    of G_S.  Masks and stacks are allocated once per call: each stack yielded
     is a view that the next block overwrites.  The rank-one table is built once
     if it fits the budget, else per block in slabs of operator rows that fit.
     """
     f = frame.entries
     m, n = f.shape
-    row_bytes = 8 * n + f.itemsize * m * m + scratch_bytes
+    dtypes = [f.dtype, *map(np.dtype, scratch)]
+    row_bytes = 8 * n + sum(t.itemsize for t in dtypes) * m * m
     rows = max(1, min(len(masks), OPERATOR_BLOCK_BYTES // row_bytes))
     step = max(1, OPERATOR_BLOCK_BYTES // (f.itemsize * n * m))  # operator rows per slab
-    fmask, ops = np.empty((rows, n)), np.empty((rows, m * m), f.dtype)
-    slab = np.empty(n * min(step, m) * m, f.dtype)
+    fmask, stacks = np.empty((rows, n)), [np.empty((rows, m, m), t) for t in dtypes]
+    ops, slab = stacks[0].reshape(rows, m * m), np.empty(n * min(step, m) * m, f.dtype)
     for start in range(0, len(masks), rows):
         b = min(rows, len(masks) - start)
         np.copyto(fmask[:b], masks[start : start + b])
@@ -160,17 +161,16 @@ def erased_operators(frame: Frame, masks: np.ndarray, scratch_bytes: int = 0):
             # real and the product is one real GEMM of twice the width
             cols = ops[:b, i * m : (i + step) * m].view(np.float64)
             np.matmul(fmask[:b], table.view(np.float64).reshape(n, -1), out=cols)
-        yield ops[:b].reshape(b, m, m)
+        yield tuple(s[:b] for s in stacks)
 
 
 def _erased_trace_powers(frame: Frame, masks: np.ndarray, d_max: int) -> np.ndarray:
     """(1/n) tr(G_S^d) per mask row, d = 1..d_max, as a (d_max, trials) array;
-    the ceil(d_max/2) - 1 half-power stacks count in the block budget."""
+    the ceil(d_max/2) - 1 half powers are erased_operators scratch stacks."""
     halves = (d_max + 1) // 2 - 1
     out, start = np.empty((d_max, len(masks))), 0
-    for ops in erased_operators(frame, masks, halves * frame.entries.itemsize * frame.m**2):
-        scratch = np.empty((halves,) + ops.shape, ops.dtype) if start == 0 else scratch
-        trace_powers(ops, frame.n, d_max, scratch[:, : len(ops)], out[:, start : start + len(ops)])
+    for ops, *powers in erased_operators(frame, masks, [frame.entries.dtype] * halves):
+        trace_powers(ops, frame.n, d_max, powers, out[:, start : start + len(ops)])
         start += len(ops)
     return out
 

@@ -441,7 +441,10 @@ def read_frame(path: str | Path) -> tuple[Frame, dict]:
         with open(path, newline="") as fh:
             rows = [[float(v) for v in row] for row in csv.reader(fh) if row]
         return Frame(field=REAL, entries=np.array(rows, dtype=np.float64)), {}
-    obj = _decode_frame_json(path.read_text())  # the text is freed on return
+    try:
+        obj = _decode_frame_json(path.read_text())  # the text is freed on return
+    except RecursionError:
+        raise ValueError("frame JSON nests too deeply") from None
     field, m, n, rows = obj["field"], obj["m"], obj["n"], obj.pop("data")
     if field not in (REAL, COMPLEX):
         raise ValueError(f"unknown field {field!r}")

@@ -2,12 +2,12 @@
 
 Each trial keeps a Bernoulli(p) subset S of columns and takes the
 eigenvalues of the |S|-by-|S| Gram submatrix G_S, read off the m-by-m erased
-frame operator F D_S F' with one checked, batched eigen-solve per block of
-erasure_moments.erased_operators.  Since rank(G_S) <= m, only the top
-min(|S|, m) eigenvalues carry mass; pooling exactly those matches the
-min(p, gamma) normalization of the MANOVA law while keeping sums of d-th
-powers equal to the full-trace moments (structural zeros from erased columns
-never enter the pool).
+frame operator F D_S F' with one batched eigen-solve per block of
+erasure_moments.erased_operators, checked in two of the block's scratch
+stacks.  Since rank(G_S) <= m, only the top min(|S|, m) eigenvalues carry
+mass; pooling exactly those matches the min(p, gamma) normalization of the
+MANOVA law while keeping sums of d-th powers equal to the full-trace moments
+(structural zeros from erased columns never enter the pool).
 
 pooled_subset_eigenvalues takes that pool straight from the batched solve,
 in trial order, without building one Spectrum per trial; it is the array
@@ -41,19 +41,21 @@ class Spectrum:
     source_dims: tuple
 
 
-def _checked_eigvalsh(stack: np.ndarray, psd: bool) -> np.ndarray:
+def _checked_eigvalsh(stack: np.ndarray, psd: bool, mag=None, diff=None) -> np.ndarray:
     """Eigenvalues of each matrix of a nonempty B x k x k stack, each row
-    nonincreasing, after the checks that hermitian_eigenvalues documents."""
-    mag = np.abs(stack)
+    nonincreasing, after the checks that hermitian_eigenvalues documents; the
+    checks write into mag (real) and diff (stack's dtype) if given."""
+    mag = np.abs(stack, out=mag)
     scale = np.maximum(1.0, mag.max(axis=(1, 2)))
     if not np.isfinite(scale).all():
         raise ValueError("matrix entries must be finite")
-    skew = np.abs(stack - stack.conj().swapaxes(1, 2)).max(axis=(1, 2))
+    fro2 = np.einsum("bij,bij->b", mag, mag)
+    diff = np.conjugate(stack.swapaxes(1, 2), out=diff)
+    skew = np.abs(np.subtract(stack, diff, out=diff), out=mag).max(axis=(1, 2))
     if np.any(skew > _HERMITIAN_TOL * scale):
         raise ValueError("matrix is not Hermitian within tolerance")
     vals = np.linalg.eigvalsh(stack)[:, ::-1]
-    tr = np.trace(stack, axis1=1, axis2=2).real
-    fro2 = (mag**2).sum(axis=(1, 2))
+    tr = np.einsum("bii->b", stack).real
     if np.any(np.abs(vals.sum(axis=1) - tr) > _CHECK_RTOL * np.maximum(1.0, np.abs(tr))):
         raise ValueError("eigenvalue sum disagrees with trace")
     if np.any(np.abs((vals**2).sum(axis=1) - fro2) > _CHECK_RTOL * np.maximum(1.0, fro2)):
@@ -89,10 +91,8 @@ def _subset_tops(frame: Frame, model: ErasureModel, trials: int) -> tuple:
     """(tops, k): the trials x m checked eigenvalues of the erased frame
     operators, each row nonincreasing, and the kept-column count |S| per trial."""
     masks = keep_masks(model.seed, trials, frame.n, model.p)
-    # _checked_eigvalsh allocates its temporaries on every block, and blocks past 128 KiB
-    # of masks and operators ran slower: count seven rows more, an eighth of the budget
-    ops = erased_operators(frame, masks, 7 * (8 * frame.n + frame.entries.itemsize * frame.m**2))
-    tops = np.concatenate([_checked_eigvalsh(s, psd=True) for s in ops])
+    blocks = erased_operators(frame, masks, (np.float64, frame.entries.dtype))
+    tops = np.concatenate([_checked_eigvalsh(ops, True, mag, diff) for ops, mag, diff in blocks])
     return tops, masks.sum(axis=1)
 
 

@@ -25,3 +25,19 @@ def mercedes_benz() -> ewb.Frame:
     real ETF: m=2, n=3, all off-diagonal correlations -1/2)."""
     ang = np.deg2rad([90.0, 210.0, 330.0])
     return ewb.Frame(field="real", entries=np.vstack([np.cos(ang), np.sin(ang)]))
+
+
+@pytest.fixture(params=["extra key", "data", "nested objects"])
+def deep_frame_file(request, tmp_path):
+    """A real 1 x 1 frame file whose extra key, data value or nested objects
+    go 100 000 levels deep, past Python's recursion limit."""
+    arrays = "[" * 100_000 + "]" * 100_000
+    objects = '{"a": ' * 100_000 + "1" + "}" * 100_000
+    deep = {
+        "extra key": '"data": [[1.0]], "x": ' + arrays,
+        "data": '"data": ' + arrays,
+        "nested objects": '"data": [[1.0]], "x": ' + objects,
+    }[request.param]
+    path = tmp_path / "deep.json"
+    path.write_text('{"field": "real", "m": 1, "n": 1, ' + deep + "}")
+    return path

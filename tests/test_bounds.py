@@ -12,7 +12,10 @@ from ewb import (
     check_theorem,
     erasure_welch_bound,
     harmonic_etf,
+    is_etf,
+    is_utf,
     lemma1_check,
+    nearest_utf,
     random_frame,
     repeated_onb,
     simplex_etf,
@@ -85,6 +88,28 @@ def test_check_theorem_utf_strict_at_order_four():
         assert_allclose(rep.slack, (p * (1.0 - p)) ** 2 * (2.0 / 3.0), rtol=1e-9)
         # independent confirmation by exhaustive enumeration
         assert_allclose(bruteforce_moment(f, p, 4), rep.moment, atol=1e-12)
+
+
+@pytest.mark.parametrize("q", [7, 11])
+def test_near_etf_utf_is_strict_at_order_four(q):
+    # a UTF 1e-5 from a harmonic ETF: its d = 4 slack (~1e-11) is within tol,
+    # but only ETFs attain the bound at 0 < p < 1, so it is not UTF-equality
+    etf = harmonic_etf(q)
+    rng = np.random.default_rng(0)
+    noisy = etf.entries + 1e-5 * (rng.normal(size=etf.entries.shape)
+                                  + 1j * rng.normal(size=etf.entries.shape))
+    noisy /= np.linalg.norm(noisy, axis=0)
+    f = nearest_utf(Frame("complex", noisy), max_iters=2000, tol=1e-14).frame
+    assert is_utf(f) and not is_etf(f) and f.invariants.etf_gap > 1e-6
+    for p in (0.3, 0.5, 0.7):
+        rep = check_theorem(f, p, 4)
+        assert 0.0 < rep.slack <= bounds.DEFAULT_TOL and rep.equality_class == STRICT
+        for d in (2, 3):
+            assert check_theorem(f, p, d).equality_class == UTF_EQUALITY
+    # the p = 1 bound is attained by every UTF, at every order
+    for p in (0.0, 1.0):
+        assert check_theorem(f, p, 4).equality_class == UTF_EQUALITY
+    assert lemma1_check(f, 4).equality_class == UTF_EQUALITY
 
 
 def test_check_theorem_random_frames_strict():

@@ -259,6 +259,19 @@ def test_bound_rejects_non_finite_frame(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["bound", "--p", "0.5", "--d", "2"],
+    ["moments", "--p", "0.5", "--d", "2"],
+    ["construct", "--kind", "nearest-utf"],
+])
+def test_deeply_nested_frame_files_exit_2(deep_frame_file, tmp_path, capsys, argv):
+    # a RecursionError would end in a traceback and exit 1, the bound-violation code
+    out = tmp_path / "out.json"
+    assert main(argv + ["--frame", str(deep_frame_file), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.endswith("error: frame JSON nests too deeply\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("tol", ["nan", "-1"])
 def test_bound_rejects_invalid_tolerance(etf_file, tmp_path, tol):
     out = tmp_path / "b.json"

@@ -1,3 +1,4 @@
+import itertools
 import sys
 import threading
 import tracemalloc
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import ewb
-from ewb import erasure_moments
+from ewb import erasure_moments, spectral
 from ewb import (
     ErasureModel,
     Frame,
@@ -299,31 +300,42 @@ def test_erased_trace_powers_match_gram_submatrices(frame, p):
 
 
 def test_operator_blocks_fit_the_byte_budget(monkeypatch):
-    # n = 256, complex, 4096 trials: every block the Monte Carlo route asks
-    # for fits the budget with every array it holds per row (float masks,
-    # operators and, at d = 6, two half-power stacks), whatever n and the
-    # trial count
+    # n = 256, complex, 4096 trials: every block the Monte Carlo and KS routes
+    # ask for fits the budget with every array it holds per row (float masks,
+    # operators and the caller's scratch stacks: at d = 6 two half powers, on
+    # the KS route the eigen checks' real and complex stacks), whatever n and
+    # the trial count, and a full block leaves no room for one row more
     f = random_frame(8, 256, "complex", seed=7)
+    model = ErasureModel(p=0.5, seed=3)
     masks = keep_masks(3, 4096, f.n, 0.5)
     budget = erasure_moments.OPERATOR_BLOCK_BYTES
     kernel = erasure_moments.erased_operators
 
-    def recording(frame, rows, scratch_bytes=0):
-        for ops in kernel(frame, rows, scratch_bytes):
-            blocks.append(ops.shape + (scratch_bytes,))
-            yield ops
+    def recording(frame, rows, scratch=()):
+        for stacks in kernel(frame, rows, scratch):
+            blocks.append([(s.shape, s.dtype) for s in stacks])
+            yield stacks
 
     monkeypatch.setattr(erasure_moments, "erased_operators", recording)
-    for d in (2, 6):
+    monkeypatch.setattr(spectral, "erased_operators", recording)
+    routes = [
+        (lambda: montecarlo_moment(f, model, 2, 4096), [np.complex128]),
+        (lambda: montecarlo_moment(f, model, 6, 4096), [np.complex128] * 3),
+        (lambda: pooled_subset_eigenvalues(f, model, 4096),
+         [np.complex128, np.float64, np.complex128]),
+    ]
+    for run, dtypes in routes:
         blocks = []
-        montecarlo_moment(f, ErasureModel(p=0.5, seed=3), d, trials=4096)
-        assert sum(b for b, _, _, _ in blocks) == 4096 and len(blocks) > 1
-        for b, m1, m2, scratch_bytes in blocks:
-            assert (m1, m2) == (8, 8)
-            assert scratch_bytes == ((d + 1) // 2 - 1) * 16 * 8 * 8
-            assert b * (8 * f.n + 16 * 8 * 8 + scratch_bytes) <= budget
+        run()
+        assert sum(block[0][0][0] for block in blocks) == 4096 and len(blocks) > 1
+        per_row = 8 * f.n + sum(np.dtype(t).itemsize for t in dtypes) * 8 * 8
+        for block in blocks:
+            b = block[0][0][0]
+            assert block == [((b, 8, 8), np.dtype(t)) for t in dtypes]
+            assert b * per_row <= budget
+        assert (blocks[0][0][0][0] + 1) * per_row > budget
     # rows come back in order: spot-check the last operator of the last block
-    last = list(kernel(f, masks))[-1][-1]
+    last = list(kernel(f, masks))[-1][0][-1]
     kept = f.entries[:, masks[-1]]
     assert_allclose(last, kept @ kept.conj().T, rtol=0, atol=1e-12)
 
@@ -331,14 +343,19 @@ def test_operator_blocks_fit_the_byte_budget(monkeypatch):
 def test_yielded_operator_stacks_share_one_workspace():
     f = random_frame(4, 16, "complex", seed=2)
     masks = keep_masks(8, 1000, f.n, 0.5)
-    first = None
+    first, dtypes = None, [np.complex128, np.float64, np.complex128]
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(erasure_moments, "OPERATOR_BLOCK_BYTES", 64 * (8 * 16 + 16 * 16))
-        for start, ops in zip(range(0, 1000, 64), erasure_moments.erased_operators(f, masks)):
-            first = ops if first is None else first
-            assert np.shares_memory(ops, first) and len(ops) == min(64, 1000 - start)
-            kept = f.entries[:, masks[start + len(ops) - 1]]
-            assert_allclose(ops[-1], kept @ kept.conj().T, rtol=0, atol=1e-12)
+        # 64 rows of masks, operators and one real and one complex scratch stack
+        mp.setattr(erasure_moments, "OPERATOR_BLOCK_BYTES", 64 * (8 * 16 + (16 + 8 + 16) * 16))
+        blocks = erasure_moments.erased_operators(f, masks, dtypes[1:])
+        for start, stacks in itertools.zip_longest(range(0, 1000, 64), blocks):
+            first = stacks if first is None else first
+            b = min(64, 1000 - start)
+            assert [(s.shape, s.dtype) for s in stacks] == [((b, 4, 4), t) for t in dtypes]
+            assert all(np.shares_memory(s, t) for s, t in zip(stacks, first))
+            assert not any(np.shares_memory(s, t) for s, t in itertools.combinations(stacks, 2))
+            kept = f.entries[:, masks[start + b - 1]]
+            assert_allclose(stacks[0][-1], kept @ kept.conj().T, rtol=0, atol=1e-12)
 
 
 def test_monte_carlo_pass_runs_in_18_blocks_and_allocates_nothing_per_block(monkeypatch):

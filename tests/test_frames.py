@@ -320,6 +320,13 @@ def test_load_rejects_malformed_structure_as_value_error(tmp_path, obj):
         load_frame(path)
 
 
+def test_load_rejects_deeply_nested_json_as_value_error(deep_frame_file):
+    with pytest.raises(ValueError, match="nests too deeply"):
+        load_frame(deep_frame_file)
+    with pytest.raises(ValueError, match="nests too deeply"):
+        frames.read_frame(deep_frame_file)
+
+
 def json_dumps_layout(frame, extra=None):
     """Reference bytes of a frame file: the whole object through json.dumps."""
     if frame.field == "real":

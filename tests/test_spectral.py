@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -310,9 +312,9 @@ def test_property_pooled_route_is_the_pool_of_the_spectra(field, m, extra, p, tr
     model = ErasureModel(p=p, seed=seed)
     with pytest.MonkeyPatch.context() as mp:
         if rows is not None:
-            # `rows` operators per block: 8n mask bytes plus the m x m operator per
-            # row, which the KS route counts eight times over
-            per_row = 8 * (8 * frame.n + frame.entries.itemsize * m * m)
+            # `rows` operators per block: 8n mask bytes plus, per row, the m x m
+            # operator and the eigen checks' real and entries-dtype stacks
+            per_row = 8 * frame.n + (8 + 2 * frame.entries.itemsize) * m * m
             mp.setattr(erasure_moments, "OPERATOR_BLOCK_BYTES", rows * per_row)
         got = pooled_subset_eigenvalues(frame, model, trials)
         want = pool_eigenvalues(subset_spectrum_samples(frame, model, trials), frame.m)
@@ -344,18 +346,110 @@ def test_ks_distance_rejects_non_finite_pool(pool):
         ks_distance(np.array(pool), ManovaParams(gamma=0.5, p=0.5))
 
 
-def test_ks_route_keeps_blocks_of_128_kib_of_masks_and_operators(monkeypatch):
-    # it allocates its eigen-check temporaries on every block, so its blocks
-    # stay at an eighth of the budget
+def test_ks_route_shares_the_operator_block_budget(monkeypatch):
+    # masks, operators and the eigen checks' two stacks (real magnitudes, and
+    # differences in the entries' dtype) count in the one budget:
+    # 1 MiB // (8 n + 3 * 8 m^2) = 157 rows at real 16 x 64
     f = random_frame(16, 64, "real", seed=1)
     kernel = erasure_moments.erased_operators
     sizes = []
 
     def recording(*args):
-        for ops in kernel(*args):
-            sizes.append(len(ops))
-            yield ops
+        for stacks in kernel(*args):
+            sizes.append([(len(s), s.dtype) for s in stacks])
+            yield stacks
 
     monkeypatch.setattr(spectral, "erased_operators", recording)
     pooled_subset_eigenvalues(f, ErasureModel(p=0.5, seed=2), 200)
-    assert sizes == [51, 51, 51, 47]  # 128 KiB // (8 n + 8 m^2) = 51
+    assert sizes == [[(b, np.float64)] * 3 for b in (157, 43)]
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_ks_blocks_write_their_checks_into_the_workspace(monkeypatch, field):
+    # tracemalloc's peak between two yields, less the memory held at the later
+    # one, is what a block allocated and freed.  After the first block the
+    # eigen checks write into the workspace's stacks; what a block still
+    # allocates (the solver's output and work arrays) stays under half of one
+    # operator stack, while checks with fresh temporaries take about three
+    f = random_frame(16, 64, field, seed=4)
+    kernel = erasure_moments.erased_operators
+    spikes, stack_bytes = [], []
+
+    def recording(*args):
+        for stacks in kernel(*args):
+            cur, peak = tracemalloc.get_traced_memory()
+            spikes.append(peak - cur)
+            stack_bytes.append(stacks[0].nbytes)
+            tracemalloc.reset_peak()
+            yield stacks
+
+    monkeypatch.setattr(spectral, "erased_operators", recording)
+    tracemalloc.start()
+    try:
+        pooled_subset_eigenvalues(f, ErasureModel(p=0.5, seed=1), 1000)
+    finally:
+        tracemalloc.stop()
+    assert len(spikes) >= 6
+    assert max(spikes[1:]) < stack_bytes[0] / 2
+
+
+def _psd_stack(field):
+    """Three 4 x 4 positive semidefinite matrices of rank 2 (two zero eigenvalues)."""
+    rng = np.random.default_rng(3)
+    x = rng.normal(size=(3, 4, 2))
+    if field == "complex":
+        x = x + 1j * rng.normal(size=(3, 4, 2))
+    return x @ x.conj().swapaxes(1, 2)
+
+
+def _set(s, idx, value):
+    s[idx] = value
+
+
+def _shifted_eigvalsh(shift):
+    """np.linalg.eigvalsh with `shift` added to each row of its ascending values."""
+    solve = np.linalg.eigvalsh
+    return lambda a: solve(a) + np.asarray(shift)
+
+
+# (fault applied to matrix 1 of the stack, eigvalsh shift or None, message)
+CHECK_FAULTS = {
+    "nan": (lambda s: _set(s, (1, 2, 2), np.nan), None, "must be finite"),
+    "inf pair": (lambda s: _set(s, (1, [0, 3], [3, 0]), np.inf), None, "must be finite"),
+    "-inf": (lambda s: _set(s, (1, 0, 0), -np.inf), None, "must be finite"),
+    "skew": (lambda s: _set(s, (1, 0, 1), s[1, 0, 1] + 1e-8 * np.abs(s).max()), None,
+             "not Hermitian"),
+    "off trace": (lambda s: None, [0.0, 0.0, 0.0, 1e-3], "sum disagrees with trace"),
+    "off Frobenius": (lambda s: None, [0.0, 0.0, -1e-3, 1e-3], "square sum disagrees"),
+    "indefinite": (lambda s: _set(s, 1, s[1] - 1e-6 * np.eye(4)), None,
+                   "not positive semidefinite"),
+}
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+@pytest.mark.parametrize("fault", list(CHECK_FAULTS))
+def test_checked_eigvalsh_rejects_alike_with_and_without_scratch(monkeypatch, field, fault):
+    break_stack, shift, message = CHECK_FAULTS[fault]
+    stack = _psd_stack(field)
+    break_stack(stack)
+    if shift is not None:
+        monkeypatch.setattr(np.linalg, "eigvalsh", _shifted_eigvalsh(shift))
+    errors = []
+    for scratch in ({}, {"mag": np.empty(stack.shape), "diff": np.empty_like(stack)}):
+        with pytest.raises(ValueError, match=message) as exc:
+            spectral._checked_eigvalsh(stack.copy(), True, **scratch)
+        errors.append(str(exc.value))
+    assert errors[0] == errors[1]
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_checked_eigvalsh_scratch_path_gives_the_plain_bits(field):
+    # the zero eigenvalues and a -1e-11 shift sit inside the -1e-9 clamp
+    stack = _psd_stack(field)
+    stack[2] -= 1e-11 * np.eye(4)
+    for psd in (False, True):
+        plain = spectral._checked_eigvalsh(stack, psd)
+        mag, diff = np.full(stack.shape, np.nan), np.full_like(stack, np.nan)
+        scratch = spectral._checked_eigvalsh(stack, psd, mag, diff)
+        assert plain.tobytes() == scratch.tobytes()
+        assert (plain[2, -1] < 0.0) != psd and plain.min() >= -2e-11
