@@ -153,8 +153,8 @@ class FrameInvariants:
 
 
 def frame_invariants(frame: Frame) -> FrameInvariants:
-    """One Gram product, symmetrized in place, and one product FF'FF' for the
-    traces; Frame.invariants caches the result."""
+    """One Gram product, symmetrized in place, and the FF' terms (one product
+    FF'FF' for the traces) before any n x n temporary; Frame.invariants caches it."""
     ent, m, n = frame.entries, frame.m, frame.n
     g = ent.conj().T @ ent
     # in place, 64 rows at a time: the lower triangle becomes the upper one's conjugate
@@ -167,23 +167,26 @@ def frame_invariants(frame: Frame) -> FrameInvariants:
     ffh = ent @ ent.conj().T
     g.setflags(write=False)
     ffh.setflags(write=False)
-    sq = np.abs(g) ** 2
+    traces = tuple(trace_powers(ffh, n, 4).tolist())
+    utf_residual = float(np.linalg.norm(ffh - (n / m) * np.eye(m)))
+    sq = np.abs(g)
+    np.square(sq, out=sq)  # in place: ** 2 of a float array is np.square, so the bits agree
     off = sq[~np.eye(n, dtype=bool)]  # empty when n = 1
     np.fill_diagonal(sq, 0.0)
     max_sq, floor = float(off.max(initial=0.0)), welch_floor(m, n)
     return FrameInvariants(
         gram=g,
         ffh=ffh,
-        traces=tuple(trace_powers(ffh, n, 4).tolist()),
+        traces=traces,
         a22=float(sq.sum()) / n,
-        s4=float((sq**2).sum()) / n,
         q=float((sq.sum(axis=1) ** 2).sum()) / n,
+        s4=float(np.square(sq, out=sq).sum()) / n,  # after a22 and q: sq becomes |c|^4
         # the rounded mean of nearly equal values can exceed their max
         rms_sq=min(float(off.sum() / max(n * (n - 1), 1)), max_sq),
         max_sq=max_sq,
         # x - floor rounds monotonically in x: max |x - floor| is at an extreme of off
         etf_gap=max(float(off.max(initial=floor)) - floor, floor - float(off.min(initial=floor))),
-        utf_residual=float(np.linalg.norm(ffh - (n / m) * np.eye(m))),
+        utf_residual=utf_residual,
     )
 
 
@@ -351,54 +354,91 @@ def nearest_utf(frame: Frame, max_iters: int = 500, tol: float = 1e-9) -> Neares
 # row-major rows, complex entries as [re, im], then the extra keys}, laid out
 # byte for byte as json.dumps(obj, indent=1) + "\n".  Floats are written with
 # float.__repr__ (shortest round-trip), so saved frames reload bit-identically,
-# signed zeros included; the reader decodes the data array one row at a time.
-# CSV is accepted for real frames only (m rows by n columns).
+# signed zeros included.  The reader decodes a window of _WINDOW characters and
+# one data row at a time.  CSV is accepted for real frames only (m rows, n columns).
 # ---------------------------------------------------------------------------
 
 _FRAME_KEYS = ("field", "m", "n", "data")
 _JSON, _SPACE = json.JSONDecoder(), json.decoder.WHITESPACE.match
+_WINDOW = 1 << 17  # characters of a frame file decoded at a time
+
+
+def _char(s: str, idx: int):
+    """The character after the whitespace at s[idx] ("" at the end), and the
+    index past it and the whitespace after it."""
+    idx = _SPACE(s, idx).end()
+    return s[idx:idx + 1], _SPACE(s, idx + 1).end()
+
+
+def _value(s: str, idx: int):
+    """The JSON value at s[idx] and the _char after it, and the index past both."""
+    value, idx = _JSON.raw_decode(s, idx)
+    c, idx = _char(s, idx)
+    return (value, c), idx
 
 
 def _row(s: str, idx: int):
-    """The JSON value at s[idx] as a float64 data row, (n, 1) for numbers and
-    (n, 2) for [re, im] pairs, or the ValueError of a value that is neither;
-    and the index after it.  Only this one row's objects are ever built."""
-    row, end = _JSON.scan_once(s, idx)
+    """_value, the value as a float64 data row ((n, 1) numbers, (n, 2) [re, im]
+    pairs) or the ValueError of anything else; only this row's objects are built."""
+    (row, sep), end = _value(s, idx)
     pairs = type(row) is list and set(map(type, row)) == {list}
     values = list(itertools.chain.from_iterable(row)) if pairs else row
     # type(), not isinstance(): numpy would read "1.0" and JSON true (a bool) as numbers
     if (type(row) is not list or set(map(type, values)) - {int, float}
             or pairs and set(map(len, row)) != {2}):
-        return ValueError("frame data must be rows of JSON numbers or of [re, im] pairs"), end
+        return (ValueError("frame data must be rows of JSON numbers or of [re, im] pairs"), sep), end
     try:
-        return np.array(values, dtype=np.float64).reshape(-1, 1 + pairs), end
+        return (np.array(values, dtype=np.float64).reshape(-1, 1 + pairs), sep), end
     except OverflowError as exc:
-        return ValueError(f"frame entries must be finite numbers ({exc})"), end
+        return (ValueError(f"frame entries must be finite numbers ({exc})"), sep), end
 
 
-def _decode_frame_json(s: str) -> dict:
-    """The top-level object of frame JSON text, parsed by json's own object and
-    array parsers, so that it accepts exactly what json.loads does (the last of
-    duplicate keys wins).  An array value is parsed through _row, one item at a
-    time: "data" becomes a list of _row results, and an array under another key
-    is decoded again, whole."""
-    idx = _SPACE(s).end()
-    if not s.startswith("{", idx):  # a leading BOM is not whitespace either
+def _decode_frame_json(fh) -> dict:
+    """The top-level object of the frame JSON in the text file fh, read by json's
+    scanner through a window of _WINDOW characters and "data" row by row (_row), so
+    it accepts what json.loads does.  A parse that fails or ends within 2 characters
+    of the window's end (1e+ of 1e+400 reads as 1) is retried on twice the window, to EOF."""
+    buf, idx, eof = "", 0, False
+
+    def take(scan, want=_WINDOW):
+        nonlocal buf, idx, eof
+        while True:
+            while len(buf) - idx < want and not eof:  # top up, dropping what was read
+                chunk = fh.read(max(want - len(buf) + idx, _WINDOW // 4))
+                buf, idx, eof = buf[idx:] + chunk, 0, not chunk
+            try:
+                value, end = scan(buf, idx)
+                if eof or end < len(buf) - 2:
+                    idx = end
+                    return value
+            except ValueError:
+                if eof:
+                    raise
+            want = 2 * (len(buf) - idx)
+
+    def items(close, item):  # of the array or object whose opening bracket was read
+        out, sep = [], "," if buf[idx:idx + 1] != close else take(_char)
+        while sep == ",":
+            value, sep = item()
+            out.append(value)
+        if sep != close:
+            raise json.JSONDecodeError(f"Expecting ',' or {close!r}", buf, idx)
+        return out
+
+    def pair():
+        key, c = take(_value)
+        if type(key) is not str or c != ":":
+            raise json.JSONDecodeError("Expecting a property name and ':'", buf, idx)
+        if key == "data" and buf[idx:idx + 1] == "[" and take(_char):
+            return (key, items("]", lambda: take(_row))), take(_char)
+        value, sep = take(_value)
+        return (key, value), sep
+
+    if take(_char) != "{":  # a leading BOM is not whitespace either
         raise ValueError("frame JSON must be an object")
-
-    def value(s, idx):
-        if not s.startswith("[", idx):
-            return _JSON.scan_once(s, idx)
-        rows, end = json.decoder.JSONArray((s, idx + 1), _row)
-        return (idx, rows), end  # a tuple: no JSON value decodes to one
-
-    obj, end = json.decoder.JSONObject((s, idx + 1), True, value, None, None)
-    end = _SPACE(s, end).end()
-    if end != len(s):
-        raise json.JSONDecodeError("Extra data", s, end)
-    for k, v in obj.items():
-        if type(v) is tuple:
-            obj[k] = v[1] if k == "data" else _JSON.raw_decode(s, v[0])[0]
+    obj = dict(items("}", pair))
+    if take(_char):
+        raise json.JSONDecodeError("Extra data", buf, idx)
     return obj
 
 
@@ -435,30 +475,33 @@ def save_frame(frame: Frame, path: str | Path, extra: dict | None = None) -> Non
 
 def read_frame(path: str | Path) -> tuple[Frame, dict]:
     """One parse of a frame file: the frame and the file's other top-level keys
-    (none for CSV).  Peak memory: the text, one row's objects, the frame's arrays."""
+    (none for CSV).  Peak memory: a window of the text, then twice the entries."""
     path = Path(path)
     if path.suffix.lower() == ".csv":
         with open(path, newline="") as fh:
-            rows = [[float(v) for v in row] for row in csv.reader(fh) if row]
-        return Frame(field=REAL, entries=np.array(rows, dtype=np.float64)), {}
-    try:
-        obj = _decode_frame_json(path.read_text())  # the text is freed on return
-    except RecursionError:
-        raise ValueError("frame JSON nests too deeply") from None
-    field, m, n, rows = obj["field"], obj["m"], obj["n"], obj.pop("data")
-    if field not in (REAL, COMPLEX):
-        raise ValueError(f"unknown field {field!r}")
-    # type(), not isinstance(): JSON true and false load as bool, an int subclass
-    if type(m) is not int or type(n) is not int:
-        raise ValueError(f"frame m and n must be JSON integers, got {m!r} and {n!r}")
-    if not isinstance(rows, list):
-        raise ValueError("frame data must be a list of rows")
-    for row in rows:
-        if isinstance(row, ValueError):
-            raise row
-    if len(rows) != m or any(row.shape != (n, 1 + (field == COMPLEX)) for row in rows):
-        raise ValueError(f"data shape does not match declared (m, n) and {field} entries")
+            rows = [np.fromiter(map(float, r), np.float64, len(r))[:, None] for r in csv.reader(fh) if r]
+        field, obj = REAL, {}
+    else:
+        try:
+            with open(path) as fh:  # the encoding and newlines of Path.read_text
+                obj = _decode_frame_json(fh)
+        except RecursionError:
+            raise ValueError("frame JSON nests too deeply") from None
+        field, m, n, rows = obj["field"], obj["m"], obj["n"], obj.pop("data")
+        if field not in (REAL, COMPLEX):
+            raise ValueError(f"unknown field {field!r}")
+        # type(), not isinstance(): JSON true and false load as bool, an int subclass
+        if type(m) is not int or type(n) is not int:
+            raise ValueError(f"frame m and n must be JSON integers, got {m!r} and {n!r}")
+        if not isinstance(rows, list):
+            raise ValueError("frame data must be a list of rows")
+        for row in rows:
+            if isinstance(row, ValueError):
+                raise row
+        if len(rows) != m or any(row.shape != (n, 1 + (field == COMPLEX)) for row in rows):
+            raise ValueError(f"data shape does not match declared (m, n) and {field} entries")
     raw = np.stack(rows)
+    del rows  # Frame copies raw: the rows go first
     # a complex entry reinterprets its (re, im) pair in place: re + 1j*im
     # would turn a -0.0 real part into +0.0
     ent = raw if field == REAL else raw.view(np.complex128)

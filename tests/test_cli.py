@@ -307,24 +307,26 @@ def test_malformed_frame_json_is_validation_error(tmp_path, capsys, command, obj
 
 
 def test_bound_reads_and_decodes_frame_file_once(etf_file, tmp_path, monkeypatch):
-    reads, decodes = [], []
-    read_text, decode = Path.read_text, frames._decode_frame_json
+    opens, decodes = [], []
+    builtin_open, decode = open, frames._decode_frame_json
 
-    def counting_read_text(self, *args, **kwargs):
-        reads.append(str(self))
-        return read_text(self, *args, **kwargs)
+    def counting_open(file, *args, **kwargs):
+        opens.append(str(file))
+        return builtin_open(file, *args, **kwargs)
 
-    def counting_decode(text):
-        decodes.append(len(text))
-        return decode(text)
+    def counting_decode(fh):
+        decodes.append(fh.name)
+        return decode(fh)
 
-    monkeypatch.setattr(Path, "read_text", counting_read_text)
+    # builtins.open for read_frame, io.open for pathlib's readers
+    monkeypatch.setattr("builtins.open", counting_open)
+    monkeypatch.setattr("io.open", counting_open)
     monkeypatch.setattr(frames, "_decode_frame_json", counting_decode)
     out = tmp_path / "b.json"
     assert main(["bound", "--frame", etf_file, "--p", "0.5", "--d", "2", "--out", str(out)]) == 0
     monkeypatch.undo()
-    assert reads == [etf_file]
-    assert len(decodes) == 1
+    assert [p for p in opens if p == etf_file] == [etf_file]
+    assert decodes == [etf_file]
     assert json.loads(out.read_text())["frame"]["construction"]["kind"] == "simplex"
 
 

@@ -87,6 +87,17 @@ def test_eigenvalues_empty_matrix():
     assert spec.source_dims == (0, 0)
 
 
+@pytest.mark.parametrize("a, want", [
+    (np.array([[3037000500, 0], [0, 1]]), [3037000500.0, 1.0]),  # |a|^2 wraps in int64
+    (np.array([[16, 0], [0, 1]], dtype=np.uint8), [16.0, 1.0]),  # and in uint8
+    (np.eye(2, dtype=bool), [1.0, 1.0]),  # abs - conj of bools is a TypeError
+], ids=["int64", "uint8", "bool"])
+def test_eigenvalues_of_integer_and_boolean_matrices(a, want):
+    spec = hermitian_eigenvalues(a)
+    assert spec.values.tobytes() == hermitian_eigenvalues(a.astype(np.float64)).values.tobytes()
+    assert spec.values.tolist() == want
+
+
 def test_subset_samples_keep_all(mercedes_benz):
     specs = subset_spectrum_samples(mercedes_benz, ErasureModel(p=1.0, seed=0), trials=5)
     assert len(specs) == 5
