@@ -9,8 +9,8 @@ alternating-projection map onto the uniform tight frames, and a JSON/CSV
 file format.
 
 All functions are pure; a Frame is immutable after construction and safe to
-share across threads (it caches its Gram-derived invariants, the Gram matrix
-among them, on first use; a race only computes them twice).
+share across threads (it caches its Gram-derived invariants on first use, and
+the Gram matrix on first request; a race only computes them twice).
 """
 
 from __future__ import annotations
@@ -131,16 +131,26 @@ def trace_powers(a: np.ndarray, n: int, d_max: int, scratch=None, out=None) -> n
     return out
 
 
+def _mirror(a: np.ndarray) -> np.ndarray:
+    """In place, 64 rows at a time: the lower triangle becomes the upper one's conjugate."""
+    for i in range(0, len(a), 64):
+        j = min(i + 64, len(a))
+        below = np.arange(j) < np.arange(i, j)[:, None]
+        np.copyto(a[i:j, :j], np.conjugate(a[:j, i:j].T), where=below)
+    return a
+
+
 @dataclass(frozen=True)
 class FrameInvariants:
-    """What moments, bounds and predicates read: gram and ffh are the read-only
-    n x n Gram matrix F'F and m x m FF'; traces[d-1] = (1/n) tr((FF')^d)
-    for d <= 4; over off-diagonal Gram entries c, a22, s4 and q are (1/n) sum
-    |c|^2, (1/n) sum |c|^4 and (1/n) sum_i (sum_j |c_ij|^2)^2, rms_sq/max_sq
-    the mean/max |c|^2 and etf_gap max ||c|^2 - welch_floor| (0 at n = 1);
-    utf_residual is the Frobenius norm of FF' - (n/m) I."""
+    """What moments, bounds and predicates read: entries and ffh are the frame's
+    read-only m x n array and m x m FF'; traces[d-1] = (1/n) tr((FF')^d) for
+    d <= 4; over off-diagonal Gram entries c, a22, s4 and q are (1/n) sum |c|^2,
+    (1/n) sum |c|^4 and (1/n) sum_i (sum_j |c_ij|^2)^2, rms_sq/max_sq the
+    mean/max |c|^2 and etf_gap max ||c|^2 - welch_floor| (0 at n = 1);
+    utf_residual is the Frobenius norm of FF' - (n/m) I.  The n x n Gram
+    F'F is built on the first read of gram."""
 
-    gram: np.ndarray
+    entries: np.ndarray
     ffh: np.ndarray
     traces: tuple
     a22: float
@@ -151,49 +161,58 @@ class FrameInvariants:
     etf_gap: float
     utf_residual: float
 
+    @cached_property
+    def gram(self) -> np.ndarray:
+        """The read-only Gram F'F: the full product, mirrored, its diagonal exactly 1."""
+        g = _mirror(self.entries.conj().T @ self.entries)
+        np.fill_diagonal(g, 1.0)
+        g += 0.0  # no -0.0 entry: the Gram's bits are those of upper + upper' + I
+        g.setflags(write=False)
+        return g
+
 
 def frame_invariants(frame: Frame) -> FrameInvariants:
-    """One Gram product, symmetrized in place, and the FF' terms (one product
-    FF'FF' for the traces) before any n x n temporary; Frame.invariants caches it."""
+    """The FF' terms (one product FF'FF' for the traces), then the |c|^2 terms
+    from one n x n float buffer, never the Gram; Frame.invariants caches it."""
     ent, m, n = frame.entries, frame.m, frame.n
-    g = ent.conj().T @ ent
-    # in place, 64 rows at a time: the lower triangle becomes the upper one's conjugate
-    for i in range(0, n, 64):
-        j = min(i + 64, n)
-        below = np.arange(j) < np.arange(i, j)[:, None]
-        np.copyto(g[i:j, :j], np.conjugate(g[:j, i:j].T), where=below)
-    np.fill_diagonal(g, 1.0)
-    g += 0.0  # no -0.0 entry: the Gram's bits are those of upper + upper' + I
     ffh = ent @ ent.conj().T
-    g.setflags(write=False)
     ffh.setflags(write=False)
     traces = tuple(trace_powers(ffh, n, 4).tolist())
     utf_residual = float(np.linalg.norm(ffh - (n / m) * np.eye(m)))
-    sq = np.abs(g)
-    np.square(sq, out=sq)  # in place: ** 2 of a float array is np.square, so the bits agree
-    off = sq[~np.eye(n, dtype=bool)]  # empty when n = 1
+    if frame.field == REAL:
+        sq = ent.T @ ent  # numpy takes syrk here, which mirrors its triangle itself
+    else:  # row blocks of the upper triangle: |c| has the bits of the full product's
+        sq = np.empty((n, n))
+        for i in range(0, n, 64):
+            np.abs(ent[:, i:i + 64].conj().T @ ent[:, i:], out=sq[i:i + 64, i:])
+        _mirror(sq)
+    np.square(sq, out=sq)  # ** 2 of a float array is np.square, so the bits agree
     np.fill_diagonal(sq, 0.0)
+    a22, q = float(sq.sum()) / n, float((sq.sum(axis=1) ** 2).sum()) / n
+    # row k of gaps: the n entries between diagonal entries k and k + 1; packed
+    # in place, 64 rows at a time, they are the off-diagonal |c|^2 in row order
+    flat = sq.reshape(-1)
+    gaps, packed = flat[1:].reshape(n - 1, n + 1)[:, :n], flat[:n * (n - 1)].reshape(n - 1, n)
+    chunks = [slice(i, i + 64) for i in range(0, n - 1, 64)]
+    for c in chunks:  # each chunk's target ends before the next chunk's source begins
+        packed[c] = gaps[c]
+    off = flat[:n * (n - 1)]  # empty when n = 1
     max_sq, floor = float(off.max(initial=0.0)), welch_floor(m, n)
-    return FrameInvariants(
-        gram=g,
-        ffh=ffh,
-        traces=traces,
-        a22=float(sq.sum()) / n,
-        q=float((sq.sum(axis=1) ** 2).sum()) / n,
-        s4=float(np.square(sq, out=sq).sum()) / n,  # after a22 and q: sq becomes |c|^4
-        # the rounded mean of nearly equal values can exceed their max
-        rms_sq=min(float(off.sum() / max(n * (n - 1), 1)), max_sq),
-        max_sq=max_sq,
-        # x - floor rounds monotonically in x: max |x - floor| is at an extreme of off
-        etf_gap=max(float(off.max(initial=floor)) - floor, floor - float(off.min(initial=floor))),
-        utf_residual=utf_residual,
-    )
+    # the rounded mean of nearly equal values can exceed their max
+    rms_sq = min(float(off.sum() / max(n * (n - 1), 1)), max_sq)
+    # x - floor rounds monotonically in x: max |x - floor| is at an extreme of off
+    etf_gap = max(float(off.max(initial=floor)) - floor, floor - float(off.min(initial=floor)))
+    for c in reversed(chunks):
+        gaps[c] = packed[c]
+    np.fill_diagonal(sq, 0.0)
+    s4 = float(np.square(sq, out=sq).sum()) / n  # sq becomes |c|^4
+    return FrameInvariants(ent, ffh, traces, a22, s4, q, rms_sq, max_sq, etf_gap, utf_residual)
 
 
 def gram(frame: Frame) -> np.ndarray:
     """Cross-correlation matrix G[i,j] = <f_i, f_j> (conjugated in the first slot)
-    as an n x n array: the one the frame caches, read-only, so every call
-    returns the same object.
+    as an n x n array, built on the first request and then cached with the
+    frame's invariants, read-only, so every call returns the same object.
 
     The diagonal is pinned to exactly 1 and conjugate symmetry is enforced
     structurally (the lower triangle is the conjugate of the upper), so the

@@ -58,6 +58,20 @@ def test_construct_harmonic_and_rejection(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_construct_bound_and_poly_moments_build_no_gram(tmp_path, monkeypatch):
+    built, lazy = [], frames.FrameInvariants.__dict__["gram"]
+    monkeypatch.setattr(lazy, "func", lambda inv, build=lazy.func: built.append(inv) or build(inv))
+    for kind in (["harmonic", "--q", "7"], ["random", "--m", "3", "--n", "70", "--seed", "2"]):
+        path = str(tmp_path / f"{kind[0]}.json")
+        assert main(["construct", "--kind", *kind, "--out", path]) == 0
+        assert main(["bound", "--frame", path, "--p", "0.3,0.7", "--d", "2,3,4"]) == 0
+        assert main(["moments", "--frame", path, "--p", "0.3,0.7", "--d", "1,2,3,4",
+                     "--method", "poly"]) == 0
+    assert built == []
+    frames.gram(load_frame(path))
+    assert len(built) == 1  # the count sees a build
+
+
 def test_construct_random_byte_deterministic(tmp_path):
     out = tmp_path / "r.json"
     args = ["construct", "--kind", "random", "--m", "2", "--n", "5", "--seed", "3",

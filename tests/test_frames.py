@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import tracemalloc
 
@@ -747,7 +748,20 @@ def test_frame_invariants_memory_is_a_few_grams():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 2.5 * 131 * 131 * 16  # the symmetrizing sums took 4.5, |G|^4 beside |G|^2 2.9
+    assert peak <= 1.6 * 131 * 131 * 16  # a stored Gram and |G|^2 beside it took 2.3
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_frame_invariants_memory_is_one_float_buffer(field):
+    frame = random_frame(16, 1000, field, seed=5)
+    frames.frame_invariants(frame)
+    tracemalloc.start()
+    try:
+        frames.frame_invariants(frame)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.75 * 1000 * 1000 * 16  # with a stored Gram: 1.56 (real), 2.06 (complex)
 
 
 def test_harmonic_etf_memory_is_a_few_frames():
@@ -768,7 +782,7 @@ def symmetrized_gram(ent):
     return upper + upper.conj().T + np.eye(g.shape[0], dtype=g.dtype)
 
 
-@pytest.mark.parametrize("frame", [
+BIT_PANEL = [
     random_frame(3, 7, "real", seed=1),
     random_frame(5, 150, "complex", seed=2),  # three row blocks of the mirror
     random_frame(1, 1, "complex", seed=3),
@@ -778,6 +792,46 @@ def symmetrized_gram(ent):
     Frame(field="real", entries=np.array([[-0.0, 1.0, -0.0], [-1.0, -0.0, -1.0]])),
     Frame(field="complex", entries=np.array([[complex(-0.0, 1.0), complex(1.0, -0.0)],
                                              [complex(-0.0, -0.0), complex(-0.0, 0.0)]])),
-], ids=["real", "complex-blocks", "n1", "n-eq-m", "h131", "onb", "signed-real", "signed-complex"])
+    random_frame(1, 1, "real", seed=5),
+    random_frame(3, 3, "complex", seed=6),
+    random_frame(9, 200, "real", seed=7),  # syrk past one 64-row block
+    harmonic_etf(251),
+]
+BIT_IDS = ["real", "complex-blocks", "n1", "n-eq-m", "h131", "onb", "signed-real", "signed-complex",
+           "n1-real", "n-eq-m-complex", "real-blocks", "h251"]
+
+
+@pytest.mark.parametrize("frame", BIT_PANEL, ids=BIT_IDS)
 def test_gram_has_the_bits_of_the_symmetrized_sum(frame):
     assert gram(frame).tobytes() == symmetrized_gram(frame.entries).tobytes()
+
+
+def stored_gram_invariants(frame):
+    """Every FrameInvariants field built from a stored Gram: |G|^2 of the
+    symmetrized full product and its off-diagonal entries by a boolean mask."""
+    ent, m, n = frame.entries, frame.m, frame.n
+    sq = np.abs(symmetrized_gram(ent)) ** 2
+    off = sq[~np.eye(n, dtype=bool)]
+    np.fill_diagonal(sq, 0.0)
+    ffh = ent @ ent.conj().T
+    max_sq, floor = off.max(initial=0.0), welch_floor(m, n)
+    return {
+        "entries": ent,
+        "ffh": ffh,
+        "traces": tuple(trace_powers(ffh, n, 4).tolist()),
+        "a22": sq.sum() / n,
+        "s4": (sq ** 2).sum() / n,
+        "q": (sq.sum(axis=1) ** 2).sum() / n,
+        "rms_sq": min(off.sum() / max(n * (n - 1), 1), max_sq),
+        "max_sq": max_sq,
+        "etf_gap": max(off.max(initial=floor) - floor, floor - off.min(initial=floor)),
+        "utf_residual": np.linalg.norm(ffh - (n / m) * np.eye(m)),
+    }
+
+
+@pytest.mark.parametrize("frame", BIT_PANEL, ids=BIT_IDS)
+def test_invariants_have_the_bits_of_a_stored_gram(frame):
+    inv, want = frames.frame_invariants(frame), stored_gram_invariants(frame)
+    assert [f.name for f in dataclasses.fields(inv)] == list(want)
+    for name, value in want.items():
+        assert np.asarray(getattr(inv, name)).tobytes() == np.asarray(value).tobytes(), name
