@@ -53,6 +53,7 @@ from .frames import (
     repeated_onb,
     save_frame,
     simplex_etf,
+    writing,
 )
 from .manova import (
     AtomicOnlyError,
@@ -126,8 +127,10 @@ def _log_manifest(man: dict) -> None:
 
 
 def _out_stream(path):
+    """--out opened for writing (removed again if the command fails while it
+    writes, so no partial artifact is left), or stdout when --out is unset."""
     if path:
-        return open(path, "w", newline="")
+        return writing(path, newline="")
     return nullcontext(sys.stdout)
 
 

@@ -141,6 +141,9 @@ def erased_operators(frame: Frame, masks: np.ndarray, scratch=()):
     of G_S.  Masks and stacks are allocated once per call: each stack yielded
     is a view that the next block overwrites.  The rank-one table is built once
     if it fits the budget, else per block in slabs of operator rows that fit.
+    The table is Hermitian only up to round-off (its lower triangle is not the
+    conjugate of its upper one, its diagonal has imaginary round-off), so a
+    GEMM onto half of it would change the Monte Carlo and KS bytes.
     """
     f = frame.entries
     m, n = f.shape

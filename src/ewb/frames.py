@@ -18,6 +18,7 @@ from __future__ import annotations
 import csv
 import itertools
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -87,6 +88,15 @@ class Frame:
         """Gram-derived invariants, built on first use and kept: the frame is read-only."""
         return frame_invariants(self)
 
+    @cached_property
+    def gram(self) -> np.ndarray:
+        """The read-only Gram F'F: the full product, mirrored, its diagonal exactly 1."""
+        g = _mirror(self.entries.conj().T @ self.entries)
+        np.fill_diagonal(g, 1.0)
+        g += 0.0  # no -0.0 entry: the Gram's bits are those of upper + upper' + I
+        g.setflags(write=False)
+        return g
+
 
 @dataclass(frozen=True)
 class CoherenceReport:
@@ -110,10 +120,12 @@ def trace_powers(a: np.ndarray, n: int, d_max: int, scratch=None, out=None) -> n
 
     Only a^2 .. a^h with h = ceil(d_max/2) are multiplied out, h - 1 matrix
     products into the scratch stacks (shaped like a; allocated if not given);
-    out, if given, takes the result.  For d >= 2, tr(a^d) = tr(a^i a^j) with
-    i = ceil(d/2), j = floor(d/2); a^j is Hermitian, so this is one dot product
-    of the two powers' float64 views.  tr(a) is the einsum "...ii->..." of its
-    real part.  Each value depends on d alone, not on d_max.
+    out, if given, takes the result.  For d >= 2, with i = ceil(d/2) and
+    j = floor(d/2), the value is one dot product of the float64 views of a^i
+    and a^j: Re tr(a^i (a^j)^H), which equals tr(a^d) only up to round-off,
+    as a computed a (an erased_operators stack) is only that close to Hermitian.
+    tr(a) is the einsum "...ii->..." of its real part.  Each value depends on d
+    alone, not on d_max.
     """
     dtype, halves = np.result_type(a, np.float64), (d_max + 1) // 2 - 1
     scratch = np.empty((halves,) + a.shape, dtype) if scratch is None else scratch
@@ -142,15 +154,13 @@ def _mirror(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FrameInvariants:
-    """What moments, bounds and predicates read: entries and ffh are the frame's
-    read-only m x n array and m x m FF'; traces[d-1] = (1/n) tr((FF')^d) for
-    d <= 4; over off-diagonal Gram entries c, a22, s4 and q are (1/n) sum |c|^2,
-    (1/n) sum |c|^4 and (1/n) sum_i (sum_j |c_ij|^2)^2, rms_sq/max_sq the
-    mean/max |c|^2 and etf_gap max ||c|^2 - welch_floor| (0 at n = 1);
-    utf_residual is the Frobenius norm of FF' - (n/m) I.  The n x n Gram
-    F'F is built on the first read of gram."""
+    """What moments, bounds and predicates read: ffh is the frame's read-only
+    m x m FF'; traces[d-1] = (1/n) tr((FF')^d) for d <= 4; over off-diagonal
+    Gram entries c, a22, s4 and q are (1/n) sum |c|^2, (1/n) sum |c|^4 and
+    (1/n) sum_i (sum_j |c_ij|^2)^2, rms_sq/max_sq the mean/max |c|^2 and
+    etf_gap max ||c|^2 - welch_floor| (0 at n = 1); utf_residual is the
+    Frobenius norm of FF' - (n/m) I."""
 
-    entries: np.ndarray
     ffh: np.ndarray
     traces: tuple
     a22: float
@@ -160,15 +170,6 @@ class FrameInvariants:
     max_sq: float
     etf_gap: float
     utf_residual: float
-
-    @cached_property
-    def gram(self) -> np.ndarray:
-        """The read-only Gram F'F: the full product, mirrored, its diagonal exactly 1."""
-        g = _mirror(self.entries.conj().T @ self.entries)
-        np.fill_diagonal(g, 1.0)
-        g += 0.0  # no -0.0 entry: the Gram's bits are those of upper + upper' + I
-        g.setflags(write=False)
-        return g
 
 
 def frame_invariants(frame: Frame) -> FrameInvariants:
@@ -188,37 +189,29 @@ def frame_invariants(frame: Frame) -> FrameInvariants:
         _mirror(sq)
     np.square(sq, out=sq)  # ** 2 of a float array is np.square, so the bits agree
     np.fill_diagonal(sq, 0.0)
-    a22, q = float(sq.sum()) / n, float((sq.sum(axis=1) ** 2).sum()) / n
-    # row k of gaps: the n entries between diagonal entries k and k + 1; packed
-    # in place, 64 rows at a time, they are the off-diagonal |c|^2 in row order
-    flat = sq.reshape(-1)
-    gaps, packed = flat[1:].reshape(n - 1, n + 1)[:, :n], flat[:n * (n - 1)].reshape(n - 1, n)
-    chunks = [slice(i, i + 64) for i in range(0, n - 1, 64)]
-    for c in chunks:  # each chunk's target ends before the next chunk's source begins
-        packed[c] = gaps[c]
-    off = flat[:n * (n - 1)]  # empty when n = 1
-    max_sq, floor = float(off.max(initial=0.0)), welch_floor(m, n)
+    total, max_sq, floor = float(sq.sum()), float(sq.max()), welch_floor(m, n)
+    a22, q = total / n, float((sq.sum(axis=1) ** 2).sum()) / n
     # the rounded mean of nearly equal values can exceed their max
-    rms_sq = min(float(off.sum() / max(n * (n - 1), 1)), max_sq)
-    # x - floor rounds monotonically in x: max |x - floor| is at an extreme of off
-    etf_gap = max(float(off.max(initial=floor)) - floor, floor - float(off.min(initial=floor)))
-    for c in reversed(chunks):
-        gaps[c] = packed[c]
+    rms_sq = min(total / max(n * (n - 1), 1), max_sq)
+    # x - floor rounds monotonically in x, so max |x - floor| is at the buffer's
+    # max or min; a diagonal at the floor adds only |floor - floor| = 0
+    np.fill_diagonal(sq, floor)
+    etf_gap = max(float(sq.max()) - floor, floor - float(sq.min()))
     np.fill_diagonal(sq, 0.0)
     s4 = float(np.square(sq, out=sq).sum()) / n  # sq becomes |c|^4
-    return FrameInvariants(ent, ffh, traces, a22, s4, q, rms_sq, max_sq, etf_gap, utf_residual)
+    return FrameInvariants(ffh, traces, a22, s4, q, rms_sq, max_sq, etf_gap, utf_residual)
 
 
 def gram(frame: Frame) -> np.ndarray:
     """Cross-correlation matrix G[i,j] = <f_i, f_j> (conjugated in the first slot)
-    as an n x n array, built on the first request and then cached with the
-    frame's invariants, read-only, so every call returns the same object.
+    as an n x n array: Frame.gram, built on the first request and then cached,
+    read-only, so every call returns the same object.
 
     The diagonal is pinned to exactly 1 and conjugate symmetry is enforced
     structurally (the lower triangle is the conjugate of the upper), so the
     result is Hermitian as stored, not merely up to rounding.
     """
-    return frame.invariants.gram
+    return frame.gram
 
 
 def coherence(frame: Frame) -> CoherenceReport:
@@ -461,13 +454,27 @@ def _decode_frame_json(fh) -> dict:
     return obj
 
 
+@contextmanager
+def writing(path: str | Path, newline: str | None = None):
+    """path opened for writing text; an exception inside the block removes the
+    file before it propagates, so a write that does not finish leaves no file."""
+    fh = open(path, "w", newline=newline)
+    try:
+        with fh:
+            yield fh
+    except BaseException:
+        Path(path).unlink(missing_ok=True)
+        raise
+
+
 def save_frame(frame: Frame, path: str | Path, extra: dict | None = None) -> None:
     """Write frame (and the top-level keys of extra after it) as frame JSON.
 
     The bytes equal json.dumps({"field", "m", "n", "data", **extra},
     indent=1) + "\n"; the data array is streamed one row at a time, so no
     text or nested list of the whole frame is held in memory.  A NaN or
-    infinite value in extra raises ValueError before the file is created.
+    infinite value in extra raises ValueError before the file is created; a
+    write that fails after it removes the file.
     """
     extra = extra or {}
     if any(k in extra for k in _FRAME_KEYS):
@@ -484,7 +491,7 @@ def save_frame(frame: Frame, path: str | Path, extra: dict | None = None) -> Non
     else:
         rows, cell = frame.entries.view(np.float64), "[\n    {},\n    {}\n   ]"
     row_text = "[\n   " + ",\n   ".join([cell] * frame.n) + "\n  ]"
-    with open(path, "w") as fh:
+    with writing(path) as fh:
         fh.write(head + '\n "data": [')
         for i, row in enumerate(rows):
             text = row_text.format(*map(float.__repr__, row.tolist()))

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from slack_descent import descend, slack_and_gradient
 
 from ewb import (
     ETF_EQUALITY,
@@ -260,3 +261,31 @@ def test_non_finite_slack_is_never_classified(mercedes_benz, monkeypatch):
     monkeypatch.setattr(bounds, "expected_moment", lambda frame, p, d: float("nan"))
     with pytest.raises(ValueError, match="slack must be finite"):
         check_theorem(mercedes_benz, 0.5, 2)
+
+
+def test_descent_gradient_matches_a_central_difference():
+    f = random_frame(3, 6, "real", seed=4).entries
+    bound = erasure_welch_bound(3, 6, 0.7, 4)
+    slack, grad = slack_and_gradient(f, 0.7, bound)
+    assert slack == pytest.approx(check_theorem(Frame("real", f), 0.7, 4).slack, abs=1e-13)
+    step = np.random.default_rng(1).standard_normal(f.shape)
+    step -= f * np.sum(f * step, axis=0)  # tangent, so the columns stay unit to first order
+    h = 1e-6
+    diff = (slack_and_gradient(f + h * step, 0.7, bound)[0]
+            - slack_and_gradient(f - h * step, 0.7, bound)[0]) / (2 * h)
+    assert diff == pytest.approx(np.sum(grad * step), rel=1e-7)
+
+
+@pytest.mark.parametrize("m, n, etf", [(2, 3, True), (3, 6, True), (3, 5, False)])
+@pytest.mark.parametrize("p", [0.3, 0.7])
+def test_descent_of_the_d4_slack_stops_at_the_bound(m, n, etf, p):
+    for seed in (0, 1):
+        f, slack = descend(random_frame(m, n, "real", seed=seed).entries, p)
+        rep = check_theorem(Frame("real", f), p, 4)
+        assert abs(rep.slack - slack) <= 1e-13
+        assert rep.slack >= -bounds.DEFAULT_TOL
+        assert rep.equality_class != UTF_EQUALITY
+        if etf:  # the real 2 x 3 and 3 x 6 ETFs attain the bound
+            assert rep.slack <= 1e-12 and rep.equality_class in (ETF_EQUALITY, STRICT)
+        else:  # no real 3 x 5 ETF exists
+            assert rep.equality_class == STRICT

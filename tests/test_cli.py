@@ -1,6 +1,7 @@
 import csv
 import gc
 import json
+import shlex
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -59,8 +60,8 @@ def test_construct_harmonic_and_rejection(tmp_path, capsys):
 
 
 def test_construct_bound_and_poly_moments_build_no_gram(tmp_path, monkeypatch):
-    built, lazy = [], frames.FrameInvariants.__dict__["gram"]
-    monkeypatch.setattr(lazy, "func", lambda inv, build=lazy.func: built.append(inv) or build(inv))
+    built, lazy = [], frames.Frame.__dict__["gram"]
+    monkeypatch.setattr(lazy, "func", lambda f, build=lazy.func: built.append(f) or build(f))
     for kind in (["harmonic", "--q", "7"], ["random", "--m", "3", "--n", "70", "--seed", "2"]):
         path = str(tmp_path / f"{kind[0]}.json")
         assert main(["construct", "--kind", *kind, "--out", path]) == 0
@@ -885,3 +886,25 @@ def test_allocation_failure_exits_2(etf_file, tmp_path, monkeypatch, capsys):
     assert main(["moments", "--frame", etf_file, "--p", "0.5", "--d", "2", "--method", "mc",
                  "--trials", "10"]) == 2
     assert capsys.readouterr().err == "error: MemoryError\n"
+
+
+def test_a_command_that_fails_while_writing_leaves_no_file(tmp_path, monkeypatch, capsys):
+    def out_of_memory(*args, **kwargs):  # a stand-in for the KS route's mask allocation
+        raise MemoryError("Unable to allocate 5.33 PiB")
+
+    out = tmp_path / "big.csv"
+    monkeypatch.setattr(cli, "pooled_subset_eigenvalues", out_of_memory)
+    assert main(["sweep", "--family", "random", "--m", "3", "--n", "6", "--p", "0.5", "--d", "2",
+                 "--trials", "1000000000000000", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: Unable to allocate 5.33 PiB\n"
+    assert not out.exists()
+
+
+def test_every_readme_example_parses():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    fenced = "\n".join(readme.split("```")[1::2]).replace("\\\n", " ")
+    commands = [shlex.split(line, comments=True) for line in fenced.splitlines()
+                if line.lstrip().startswith("ewb ")]
+    assert len(commands) >= 12
+    for argv in commands:  # argparse exits 2, failing the test, on a stale example
+        assert build_parser().parse_args(argv[1:]).command == argv[1]

@@ -402,6 +402,28 @@ def test_save_frame_small_and_signed_zero_frames(tmp_path, field, entries):
     assert_saved_as_json_dumps(Frame(field=field, entries=np.array(entries)), tmp_path / "f.json")
 
 
+def test_save_frame_that_fails_mid_write_leaves_no_file(tmp_path, monkeypatch):
+    def full_disk(*args, **kwargs):  # a file whose writes after the first fail
+        fh = open(*args, **kwargs)
+        first = fh.write
+
+        def write(text):
+            fh.write = no_space
+            return first(text)
+
+        def no_space(text):
+            raise OSError(28, "No space left on device")
+
+        fh.write = write
+        return fh
+
+    monkeypatch.setattr(frames, "open", full_disk, raising=False)
+    path = tmp_path / "f.json"
+    with pytest.raises(OSError, match="No space left"):
+        save_frame(random_frame(3, 7, "complex", seed=1), path)
+    assert not path.exists()
+
+
 def test_save_frame_extra_keys_match_json_dumps(tmp_path):
     extra = {
         "construction": {"kind": "harmonic", "q": 11, "params": [1, 2.5, {"deep": [None, True]}]},
@@ -459,7 +481,7 @@ def test_gram_is_the_cached_read_only_array(field):
     g = gram(f)
     assert isinstance(g, np.ndarray) and g.shape == (7, 7)
     assert not g.flags.writeable
-    assert g is gram(f) is f.invariants.gram
+    assert g is gram(f) is f.gram
     assert np.array_equal(g, g.conj().T)
     assert np.array_equal(np.diag(g), np.ones(7))
     with pytest.raises(ValueError):
@@ -806,9 +828,17 @@ def test_gram_has_the_bits_of_the_symmetrized_sum(frame):
     assert gram(frame).tobytes() == symmetrized_gram(frame.entries).tobytes()
 
 
+def test_gram_of_a_fresh_frame_takes_no_invariants(monkeypatch):
+    monkeypatch.setattr(frames, "frame_invariants", lambda frame: pytest.fail("invariants built"))
+    f = harmonic_etf(7)
+    assert gram(f).tobytes() == symmetrized_gram(f.entries).tobytes()
+    assert "invariants" not in vars(f)
+
+
 def stored_gram_invariants(frame):
     """Every FrameInvariants field built from a stored Gram: |G|^2 of the
-    symmetrized full product and its off-diagonal entries by a boolean mask."""
+    symmetrized full product, its off-diagonal entries by a boolean mask, and
+    the mean from the sum over the zero-diagonal |G|^2."""
     ent, m, n = frame.entries, frame.m, frame.n
     sq = np.abs(symmetrized_gram(ent)) ** 2
     off = sq[~np.eye(n, dtype=bool)]
@@ -816,13 +846,12 @@ def stored_gram_invariants(frame):
     ffh = ent @ ent.conj().T
     max_sq, floor = off.max(initial=0.0), welch_floor(m, n)
     return {
-        "entries": ent,
         "ffh": ffh,
         "traces": tuple(trace_powers(ffh, n, 4).tolist()),
         "a22": sq.sum() / n,
         "s4": (sq ** 2).sum() / n,
         "q": (sq.sum(axis=1) ** 2).sum() / n,
-        "rms_sq": min(off.sum() / max(n * (n - 1), 1), max_sq),
+        "rms_sq": min(sq.sum() / max(n * (n - 1), 1), max_sq),
         "max_sq": max_sq,
         "etf_gap": max(off.max(initial=floor) - floor, floor - off.min(initial=floor)),
         "utf_residual": np.linalg.norm(ffh - (n / m) * np.eye(m)),
