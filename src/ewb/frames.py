@@ -90,8 +90,8 @@ class Frame:
 
     @cached_property
     def gram(self) -> np.ndarray:
-        """The read-only Gram F'F: the full product, mirrored, its diagonal exactly 1."""
-        g = _mirror(self.entries.conj().T @ self.entries)
+        """The read-only Gram F'F: its upper triangle, mirrored, its diagonal exactly 1."""
+        g = _gram_op(self.entries, np.positive)
         np.fill_diagonal(g, 1.0)
         g += 0.0  # no -0.0 entry: the Gram's bits are those of upper + upper' + I
         g.setflags(write=False)
@@ -143,13 +143,20 @@ def trace_powers(a: np.ndarray, n: int, d_max: int, scratch=None, out=None) -> n
     return out
 
 
-def _mirror(a: np.ndarray) -> np.ndarray:
-    """In place, 64 rows at a time: the lower triangle becomes the upper one's conjugate."""
-    for i in range(0, len(a), 64):
-        j = min(i + 64, len(a))
+def _gram_op(ent: np.ndarray, op) -> np.ndarray:
+    """op(F'F) for a ufunc op, its lower triangle the conjugate of the upper: numpy's
+    syrk for real F; for complex F, op of the 64-row blocks F[:, i:i+64]' F[:, i:] of
+    the upper triangle, each mirrored once filled (the full product's bits)."""
+    if ent.dtype.kind != "c":
+        g = ent.T @ ent  # syrk mirrors its triangle itself
+        return op(g, out=g)
+    out = np.empty((ent.shape[1],) * 2, op(ent[:0, 0]).dtype)
+    for i in range(0, len(out), 64):
+        j = min(i + 64, len(out))
+        op(ent[:, i:j].conj().T @ ent[:, i:], out=out[i:j, i:])
         below = np.arange(j) < np.arange(i, j)[:, None]
-        np.copyto(a[i:j, :j], np.conjugate(a[:j, i:j].T), where=below)
-    return a
+        np.copyto(out[i:j, :j], np.conjugate(out[:j, i:j].T), where=below)
+    return out
 
 
 @dataclass(frozen=True)
@@ -180,13 +187,7 @@ def frame_invariants(frame: Frame) -> FrameInvariants:
     ffh.setflags(write=False)
     traces = tuple(trace_powers(ffh, n, 4).tolist())
     utf_residual = float(np.linalg.norm(ffh - (n / m) * np.eye(m)))
-    if frame.field == REAL:
-        sq = ent.T @ ent  # numpy takes syrk here, which mirrors its triangle itself
-    else:  # row blocks of the upper triangle: |c| has the bits of the full product's
-        sq = np.empty((n, n))
-        for i in range(0, n, 64):
-            np.abs(ent[:, i:i + 64].conj().T @ ent[:, i:], out=sq[i:i + 64, i:])
-        _mirror(sq)
+    sq = _gram_op(ent, np.abs)
     np.square(sq, out=sq)  # ** 2 of a float array is np.square, so the bits agree
     np.fill_diagonal(sq, 0.0)
     total, max_sq, floor = float(sq.sum()), float(sq.max()), welch_floor(m, n)
@@ -344,19 +345,18 @@ def nearest_utf(frame: Frame, max_iters: int = 500, tol: float = 1e-9) -> Neares
     if not 0.0 < tol < np.inf:
         raise ValueError(f"need 0 < tol < inf, got {tol}")
     m, n = frame.m, frame.n
-    ent = np.array(frame.entries)
-    cov, residual = frame.invariants.ffh, frame.invariants.utf_residual
-    iters = 0
-    while residual > tol and iters < max_iters:
+    ent, iters = np.array(frame.entries), 0
+    while True:
+        cov = ent @ ent.conj().T
+        residual = float(np.linalg.norm(cov - (n / m) * np.eye(m)))
+        if not residual > tol or iters >= max_iters:
+            break
         w, u = np.linalg.eigh(cov)
         if w[0] <= 1e-12 * w[-1]:
             raise ValueError("frame does not span R^m / C^m; tight projection undefined")
         inv_sqrt = (u * (w ** -0.5)) @ u.conj().T
-        ent = np.sqrt(n / m) * (inv_sqrt @ ent)
-        ent = _normalize_columns(ent)
+        ent = _normalize_columns(np.sqrt(n / m) * (inv_sqrt @ ent))
         iters += 1
-        cov = ent @ ent.conj().T
-        residual = float(np.linalg.norm(cov - (n / m) * np.eye(m)))
     out = Frame(field=frame.field, entries=ent)
     return NearestUtfResult(frame=out, residual=residual, iterations=iters, converged=residual <= tol)
 
@@ -513,6 +513,9 @@ def read_frame(path: str | Path) -> tuple[Frame, dict]:
                 obj = _decode_frame_json(fh)
         except RecursionError:
             raise ValueError("frame JSON nests too deeply") from None
+        missing = [k for k in _FRAME_KEYS if k not in obj]
+        if missing:
+            raise ValueError(f"frame JSON is missing the key(s) {', '.join(map(repr, missing))}")
         field, m, n, rows = obj["field"], obj["m"], obj["n"], obj.pop("data")
         if field not in (REAL, COMPLEX):
             raise ValueError(f"unknown field {field!r}")

@@ -49,7 +49,7 @@ import numpy as np
 
 from ._checks import integer, within
 
-_NODES, _WEIGHTS = np.polynomial.legendre.leggauss(20)
+_NODES = _WEIGHTS = None  # the 20-point Gauss-Legendre rule, built by _refine's first call
 _HALF_PI = math.pi / 2.0
 _DEGENERATE_WIDTH = 1e-14
 _MAX_PANELS = 1 << 13
@@ -189,6 +189,11 @@ def _bulk_integrand(params: ManovaParams, sup: ManovaSupport):
 def _refine(fn, tol: float) -> float:
     """Composite Gauss-Legendre integral over [0, pi/2], doubling the panels
     from 8 until two refinements agree to tol."""
+    global _NODES, _WEIGHTS
+    if _NODES is None:  # so that importing ewb does not import numpy.polynomial
+        from numpy.polynomial.legendre import leggauss
+
+        _NODES, _WEIGHTS = leggauss(20)
     prev, panels = None, 8
     while True:
         edges = np.linspace(0.0, _HALF_PI, panels + 1)
@@ -233,14 +238,20 @@ def moment_closed(params: ManovaParams, d: int) -> float:
 
 def moment_numeric(params: ManovaParams, d: int, tol: float = 1e-8) -> float:
     """Quadrature oracle for the d-th moment:
-    min(p, gamma) * (integral of t^d rho(t) dt + atom_weight / gamma^d)."""
+    min(p, gamma) * (integral of t^d rho(t) dt + atom_weight / gamma^d).
+    Where (1/gamma)^d overflows a float, as it can while the moment itself
+    does not, it raises a ValueError, as moment_closed does on overflow."""
     d = integer(d, "moment order")
     sup = support(params)
     bulk = 0.0
     if sup.has_bulk:
         fn = _bulk_integrand(params, sup)
         bulk = _refine(lambda th: fn(th, d), tol)
-    return min(params.p, params.gamma) * (bulk + sup.atom_weight * sup.atom_location**d)
+    try:
+        return min(params.p, params.gamma) * (bulk + sup.atom_weight * sup.atom_location**d)
+    except OverflowError:
+        raise ValueError(f"the order-{d} moment at {params} overflows a float "
+                         "in its quadrature") from None
 
 
 def delta_correction(params: ManovaParams, d: int, n: int) -> float:

@@ -321,6 +321,17 @@ def test_malformed_frame_json_is_validation_error(tmp_path, capsys, command, obj
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [["bound", "--d", "2"], ["moments", "--d", "1"]])
+@pytest.mark.parametrize("key", ["field", "m", "n", "data"])
+def test_frame_file_without_a_key_names_it(tmp_path, capsys, command, key):
+    obj = {"field": "real", "m": 1, "n": 1, "data": [[1.0]]}
+    del obj[key]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(obj))
+    assert main(command + ["--frame", str(bad), "--p", "0.5"]) == 2
+    assert capsys.readouterr().err == f"error: frame JSON is missing the key(s) {key!r}\n"
+
+
 def test_bound_reads_and_decodes_frame_file_once(etf_file, tmp_path, monkeypatch):
     opens, decodes = [], []
     builtin_open, decode = open, frames._decode_frame_json
@@ -437,6 +448,19 @@ def test_manova_quadrature_failure_keeps_the_exact_column(tmp_path, capsys):
     assert rows[4][3:] == ["1.5016164015831066e+17", "", ""]
     (note,) = [c for c in comments if c.startswith("# d=4 numeric: ")]
     assert "achieved error estimate" in note
+    assert "error:" not in capsys.readouterr().err
+
+
+def test_manova_tiny_gamma_overflow_keeps_the_exact_column(tmp_path, capsys):
+    out = tmp_path / "t.csv"
+    # 1/gamma^4 = 1e312 overflows in the quadrature's atom term; closed stays finite
+    assert main(["manova", "--gamma", "1e-78", "--p", "0.5", "--out", str(out)]) == 0
+    comments, rows = read_csv(str(out))
+    assert [r[2] for r in rows[1:]] == ["1", "2", "3", "4"]
+    assert rows[4][3:] == ["6.2500000000000001e+232", "", ""]
+    assert all(r[4] != "" for r in rows[1:4])
+    (note,) = [c for c in comments if c.startswith("# d=4 numeric: ")]
+    assert "overflows a float" in note
     assert "error:" not in capsys.readouterr().err
 
 

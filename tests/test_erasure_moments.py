@@ -1,4 +1,5 @@
 import itertools
+import math
 import sys
 import threading
 import tracemalloc
@@ -101,6 +102,26 @@ def test_polynomial_at_one_matches_trace_moment():
         f = random_frame(4, 9, "real", seed=seed)
         for d in (1, 2, 3, 4):
             assert abs(moment_polynomial(f, d).evaluate(1.0) - trace_moment(f, d)) <= 1e-9
+
+
+def falling(x: int, j: int) -> int:
+    """The falling factorial (x)_j = x (x - 1) ... (x - j + 1)."""
+    return math.prod(range(x - j + 1, x + 1))
+
+
+@pytest.mark.parametrize("frame", [random_frame(4, 12, "complex", seed=3), harmonic_etf(11),
+                                   random_frame(3, 9, "real", seed=5), simplex_etf(5)],
+                         ids=["complex-4x12", "h11", "real-3x9", "simplex-5"])
+def test_every_coefficient_matches_the_per_size_sums(frame):
+    # a uniform k-subset keeps j given vectors with probability (k)_j / (n)_j, so
+    # subset_sums[k, d-1] / C(n, k) = sum_j a_{d,j} (k)_j / (n)_j for every k
+    n, table = frame.n, bruteforce_table(frame, d_max=4)
+    for d in range(1, 5):
+        coeffs = moment_polynomial(frame, d).coeffs
+        for k in range(n + 1):
+            want = math.fsum(a * falling(k, j) / falling(n, j) for j, a in enumerate(coeffs, 1))
+            assert_allclose(table.subset_sums[k, d - 1] / math.comb(n, k), want, rtol=1e-13,
+                            atol=0, err_msg=f"d={d} k={k}")
 
 
 def test_expected_moment_first_order_is_p():

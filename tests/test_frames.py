@@ -566,10 +566,12 @@ def test_trace_powers_multiply_out_only_the_half_powers(shape):
 
 def json_loads_frame(text):
     """The reference reader: json.loads of the whole text, then the frame checks
-    on the parsed tree (ValueError or KeyError, as read_frame raises them)."""
+    on the parsed tree (a ValueError, as read_frame raises them)."""
     obj = json.loads(text)
     if not isinstance(obj, dict):
         raise ValueError("frame JSON must be an object")
+    if any(k not in obj for k in ("field", "m", "n", "data")):
+        raise ValueError("missing key")
     field, m, n, data = obj["field"], obj["m"], obj["n"], obj["data"]
     if field not in ("real", "complex") or type(m) is not int or type(n) is not int:
         raise ValueError("bad header")
@@ -637,8 +639,8 @@ def assert_reads_like_json_loads(path, text):
     path.write_text(text, encoding="utf-8")
     try:
         want = json_loads_frame(text)
-    except (ValueError, KeyError) as exc:
-        with pytest.raises(type(exc) if isinstance(exc, KeyError) else ValueError):
+    except ValueError:
+        with pytest.raises(ValueError):
             frames.read_frame(path)
         return
     got = frames.read_frame(path)
@@ -833,6 +835,23 @@ def test_gram_of_a_fresh_frame_takes_no_invariants(monkeypatch):
     f = harmonic_etf(7)
     assert gram(f).tobytes() == symmetrized_gram(f.entries).tobytes()
     assert "invariants" not in vars(f)
+
+
+def test_nearest_utf_of_a_fresh_frame_takes_no_invariants(monkeypatch):
+    monkeypatch.setattr(frames, "frame_invariants", lambda frame: pytest.fail("invariants built"))
+    f = random_frame(3, 70, "complex", seed=4)
+    res = nearest_utf(f)
+    assert res.converged and res.iterations > 0
+    assert "invariants" not in vars(f) and "invariants" not in vars(res.frame)
+
+
+@pytest.mark.parametrize("frame, max_iters", [(harmonic_etf(7), 500),
+                                               (random_frame(4, 9, "complex", seed=2), 1),
+                                               (random_frame(4, 9, "complex", seed=2), 500)],
+                         ids=["utf-start", "one-step", "converged"])
+def test_nearest_utf_residual_has_the_bits_of_its_frames_invariants(frame, max_iters):
+    res = nearest_utf(frame, max_iters=max_iters)
+    assert res.residual == res.frame.invariants.utf_residual
 
 
 def stored_gram_invariants(frame):

@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -285,6 +289,15 @@ def test_moment_closed_overflow_raises(gamma, d):
         moment_closed(ManovaParams(gamma=gamma, p=0.5), d)
 
 
+def test_moment_numeric_overflow_raises_where_closed_does_not():
+    # the atom term's (1/gamma)^4 = 1e312 overflows; the moment is about 6e232
+    params = ManovaParams(gamma=1e-78, p=0.5)
+    assert math.isfinite(moment_closed(params, 4))
+    with pytest.raises(ValueError, match="overflows a float"):
+        moment_numeric(params, 4)
+    assert math.isfinite(moment_numeric(ManovaParams(gamma=1e-77, p=0.5), 4))
+
+
 def test_moment_closed_monotone_in_p():
     ps = np.linspace(0.0, 1.0, 21)
     for gamma in (0.3, 0.7, 1.0):
@@ -475,6 +488,15 @@ def midpoint_rule(monkeypatch):
     monkeypatch.setattr(manova, "_NODES", np.array([0.0]))
     monkeypatch.setattr(manova, "_WEIGHTS", np.array([2.0]))
     monkeypatch.setattr(manova, "_MAX_PANELS", 16)
+
+
+def test_importing_the_cli_leaves_the_quadrature_rule_unbuilt():
+    code = "import sys, ewb.cli; print('numpy.polynomial' in sys.modules)"
+    src = str(Path(manova.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"
 
 
 def test_moment_numeric_raises_when_doubling_runs_out(midpoint_rule):
