@@ -245,8 +245,9 @@ def cmd_moments(args) -> int:
             return [(table.moment(p, d), "") for d in ds]
     else:
         def moments(p):
-            est = montecarlo_moment(frame, ErasureModel(p=p, seed=seed), max(ds), args.trials)
-            return [(est.values[d - 1], _fmt(est.stderrs[d - 1])) for d in ds]
+            est = montecarlo_moment(frame, ErasureModel(p=p, seed=seed), max(ds), args.trials,
+                                    orders=ds)
+            return [(value, _fmt(stderr)) for value, stderr in zip(est.values, est.stderrs)]
 
     rows = [[_fmt(p), d, args.method, _fmt(value), stderr]
             for p in ps for d, (value, stderr) in zip(ds, moments(p))]

@@ -13,7 +13,8 @@ trace identities and O(n^2) pair sums instead of tuple enumeration.
 
 Three routes to m_d are provided: the exact polynomial, an exhaustive
 2^n-pattern oracle (n <= 24) and a seeded Monte Carlo estimator; the last two
-give every order up to d from one pass.  Oracle weights p^|S| stay above
+give several orders from one pass (the oracle every order up to d, the
+estimator the orders asked for).  Oracle weights p^|S| stay above
 double-precision underflow for p >= 1e-9 at n <= 24 (no log-space arithmetic).
 
 The oracle, the Monte Carlo route and spectral.subset_spectrum_samples never
@@ -70,7 +71,9 @@ class MomentPolynomial:
 
 @dataclass(frozen=True)
 class MomentEstimate:
-    """values[k-1], stderrs[k-1]: Monte Carlo mean, std / sqrt(trials) of order k = 1..d."""
+    """values[r], stderrs[r]: Monte Carlo mean and std / sqrt(trials) of the r-th
+    order asked for (orders 1..d unless a caller named others); value and
+    stderr are those of the last."""
 
     values: tuple
     stderrs: tuple
@@ -86,8 +89,8 @@ class MomentEstimate:
 
 
 def trace_moment(frame: Frame, d: int) -> float:
-    """(1/n) trace((F F')^d) from the half powers of FF' (frames.trace_powers:
-    ceil(d/2) - 1 dense products).
+    """(1/n) trace((F F')^d) from the half powers of FF' (frames.trace_powers of
+    order d alone: ceil(d/2) - 1 dense products).
 
     Works on the m-by-m factor FF' (m <= n); equals the moment of the
     unerased frame, i.e. m_d at p = 1.  Orders <= 4 are cached per frame.
@@ -96,7 +99,7 @@ def trace_moment(frame: Frame, d: int) -> float:
     inv = frame.invariants
     if d <= len(inv.traces):
         return inv.traces[d - 1]
-    return float(trace_powers(inv.ffh, frame.n, d)[-1])
+    return float(trace_powers(inv.ffh, frame.n, (d,))[0])
 
 
 def moment_polynomial(frame: Frame, d: int) -> MomentPolynomial:
@@ -167,13 +170,14 @@ def erased_operators(frame: Frame, masks: np.ndarray, scratch=()):
         yield tuple(s[:b] for s in stacks)
 
 
-def _erased_trace_powers(frame: Frame, masks: np.ndarray, d_max: int) -> np.ndarray:
-    """(1/n) tr(G_S^d) per mask row, d = 1..d_max, as a (d_max, trials) array;
-    the ceil(d_max/2) - 1 half powers are erased_operators scratch stacks."""
-    halves = (d_max + 1) // 2 - 1
-    out, start = np.empty((d_max, len(masks))), 0
+def _erased_trace_powers(frame: Frame, masks: np.ndarray, orders) -> np.ndarray:
+    """(1/n) tr(G_S^d) per mask row for each d in orders, as a (len(orders),
+    trials) array; the ceil(max(orders)/2) - 1 half powers are erased_operators
+    scratch stacks."""
+    halves = (max(orders) + 1) // 2 - 1
+    out, start = np.empty((len(orders), len(masks))), 0
     for ops, *powers in erased_operators(frame, masks, [frame.entries.dtype] * halves):
-        trace_powers(ops, frame.n, d_max, powers, out[:, start : start + len(ops)])
+        trace_powers(ops, frame.n, orders, powers, out[:, start : start + len(ops)])
         start += len(ops)
     return out
 
@@ -218,7 +222,7 @@ def bruteforce_table(frame: Frame, d_max: int = 4) -> BruteforceTable:
     for start in range(0, total, BRUTEFORCE_CHUNK):
         idx = np.arange(start, min(start + BRUTEFORCE_CHUNK, total), dtype=np.int64)
         masks = ((idx[:, None] >> bits[None, :]) & 1).astype(bool)
-        vals = _erased_trace_powers(frame, masks, d_max)
+        vals = _erased_trace_powers(frame, masks, range(1, d_max + 1))
         ks = masks.sum(axis=1)
         for k in np.unique(ks):
             sel = ks == k
@@ -239,16 +243,25 @@ def bruteforce_moment(frame: Frame, p: float, d: int) -> float:
     return bruteforce_table(frame, d_max=d).moment(p, d)
 
 
-def montecarlo_moment(frame: Frame, model: ErasureModel, d: int, trials: int) -> MomentEstimate:
-    """Average (1/n) tr((G_S)^k), k = 1..d, over i.i.d. Bernoulli(p) keep patterns.
+def montecarlo_moment(frame: Frame, model: ErasureModel, d: int, trials: int, *,
+                      orders=None) -> MomentEstimate:
+    """Average (1/n) tr((G_S)^k) over i.i.d. Bernoulli(p) keep patterns for each
+    k in orders, integers in 1..d (default: every k = 1..d), in the order given.
 
-    One mask draw and one erased-trace pass serve every order, each as a d = k
-    call would; trial t's pattern depends only on model.seed and t (counter-derived).
+    One mask draw and one erased-trace pass serve every order, each with the
+    bits of a d = k call, whatever the other orders; only the orders asked for
+    are traced.  Trial t's pattern depends only on model.seed and t
+    (counter-derived).
     """
     d = integer(d, "moment order")
+    if orders is None:
+        orders = range(1, d + 1)
+    orders = [integer(k, "moment order", 1, d) for k in orders]
+    if not orders:
+        raise ValueError("montecarlo_moment needs at least one moment order")
     masks = keep_masks(model.seed, trials, frame.n, model.p)
     trials = len(masks)
-    rows = _erased_trace_powers(frame, masks, d)
+    rows = _erased_trace_powers(frame, masks, orders)
     stderrs = [float(r.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0 for r in rows]
     return MomentEstimate(tuple(float(r.mean()) for r in rows), tuple(stderrs), trials)
 

@@ -114,31 +114,34 @@ def welch_floor(m: int, n: int) -> float:
     return (n - m) / ((n - 1) * m)
 
 
-def trace_powers(a: np.ndarray, n: int, d_max: int, scratch=None, out=None) -> np.ndarray:
-    """(1/n) tr(a^d) for d = 1..d_max of a Hermitian a: shape (d_max,) for one
-    square matrix, (d_max, B) for a B x m x m stack.
+def trace_powers(a: np.ndarray, n: int, orders, scratch=None, out=None) -> np.ndarray:
+    """(1/n) tr(a^d) for each d in orders (positive integers) of a Hermitian a:
+    shape (len(orders),) for one square matrix, (len(orders), B) for a
+    B x m x m stack, row r holding order orders[r].
 
-    Only a^2 .. a^h with h = ceil(d_max/2) are multiplied out, h - 1 matrix
-    products into the scratch stacks (shaped like a; allocated if not given);
-    out, if given, takes the result.  For d >= 2, with i = ceil(d/2) and
-    j = floor(d/2), the value is one dot product of the float64 views of a^i
-    and a^j: Re tr(a^i (a^j)^H), which equals tr(a^d) only up to round-off,
+    Only a^2 .. a^h with h = ceil(max(orders)/2) are multiplied out, h - 1
+    matrix products into the scratch stacks (shaped like a; allocated if not
+    given); out, if given, takes the result.  For d >= 2, with i = ceil(d/2)
+    and j = floor(d/2), the value is one dot product of the float64 views of
+    a^i and a^j: Re tr(a^i (a^j)^H), which equals tr(a^d) only up to round-off,
     as a computed a (an erased_operators stack) is only that close to Hermitian.
     tr(a) is the einsum "...ii->..." of its real part.  Each value depends on d
-    alone, not on d_max.
+    alone, not on the other orders asked for.
     """
-    dtype, halves = np.result_type(a, np.float64), (d_max + 1) // 2 - 1
+    dtype, halves = np.result_type(a, np.float64), (max(orders) + 1) // 2 - 1
     scratch = np.empty((halves,) + a.shape, dtype) if scratch is None else scratch
-    out = np.empty((d_max,) + a.shape[:-2]) if out is None else out
+    out = np.empty((len(orders),) + a.shape[:-2]) if out is None else out
     powers = [np.ascontiguousarray(a, dtype=dtype)]
     for s in scratch:
         powers.append(np.matmul(powers[-1], a, out=s))
     # each matrix as one float64 row, a complex entry as its (re, im) pair
     flat = [x.view(np.float64).reshape(x.shape[:-2] + (-1,)) for x in powers]
-    np.einsum("...ii->...", a.real, out=out[0, ...])
-    for d in range(2, d_max + 1):
-        np.einsum("...k,...k->...", flat[(d + 1) // 2 - 1], flat[d // 2 - 1], out=out[d - 1, ...])
-    for row in out.reshape(d_max, -1):
+    for r, d in enumerate(orders):
+        if d == 1:
+            np.einsum("...ii->...", a.real, out=out[r, ...])
+        else:
+            np.einsum("...k,...k->...", flat[(d + 1) // 2 - 1], flat[d // 2 - 1], out=out[r, ...])
+    for row in out.reshape(len(orders), -1):
         row /= n  # row by row: dividing a strided out at once would buffer
     return out
 
@@ -185,7 +188,7 @@ def frame_invariants(frame: Frame) -> FrameInvariants:
     ent, m, n = frame.entries, frame.m, frame.n
     ffh = ent @ ent.conj().T
     ffh.setflags(write=False)
-    traces = tuple(trace_powers(ffh, n, 4).tolist())
+    traces = tuple(trace_powers(ffh, n, (1, 2, 3, 4)).tolist())
     utf_residual = float(np.linalg.norm(ffh - (n / m) * np.eye(m)))
     sq = _gram_op(ent, np.abs)
     np.square(sq, out=sq)  # ** 2 of a float array is np.square, so the bits agree

@@ -237,18 +237,26 @@ def moment_closed(params: ManovaParams, d: int) -> float:
 
 
 def moment_numeric(params: ManovaParams, d: int, tol: float = 1e-8) -> float:
-    """Quadrature oracle for the d-th moment:
-    min(p, gamma) * (integral of t^d rho(t) dt + atom_weight / gamma^d).
-    Where (1/gamma)^d overflows a float, as it can while the moment itself
-    does not, it raises a ValueError, as moment_closed does on overflow."""
+    """Quadrature oracle for the d-th moment of the law support() describes:
+    min(p, gamma) * (integral of t^d rho(t) dt + sum of w loc^d over its jumps).
+    A bulk with 2^-52 r+ > tol (r+ - r-), too narrow for doubles to resolve at
+    its location, raises QuadratureError.  Where a jump's loc^d overflows a
+    float, as it can while the moment itself does not, it raises a ValueError,
+    as moment_closed does on overflow."""
     d = integer(d, "moment order")
     sup = support(params)
-    bulk = 0.0
+    total = 0.0
     if sup.has_bulk:
+        resolution = 2.0**-52 * sup.r_plus
+        if resolution > tol * (sup.r_plus - sup.r_minus):
+            raise QuadratureError("the bulk is too narrow for double precision at its location",
+                                  resolution / (sup.r_plus - sup.r_minus))
         fn = _bulk_integrand(params, sup)
-        bulk = _refine(lambda th: fn(th, d), tol)
+        total = _refine(lambda th: fn(th, d), tol)
     try:
-        return min(params.p, params.gamma) * (bulk + sup.atom_weight * sup.atom_location**d)
+        for loc, w in sup.jumps:
+            total += w * loc**d
+        return float(min(params.p, params.gamma) * total)
     except OverflowError:
         raise ValueError(f"the order-{d} moment at {params} overflows a float "
                          "in its quadrature") from None

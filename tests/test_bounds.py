@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -10,6 +12,7 @@ from ewb import (
     Frame,
     bounds,
     bruteforce_moment,
+    bruteforce_table,
     check_theorem,
     erasure_welch_bound,
     harmonic_etf,
@@ -289,3 +292,31 @@ def test_descent_of_the_d4_slack_stops_at_the_bound(m, n, etf, p):
             assert rep.slack <= 1e-12 and rep.equality_class in (ETF_EQUALITY, STRICT)
         else:  # no real 3 x 5 ETF exists
             assert rep.equality_class == STRICT
+
+
+def fixed_size_moments(frame):
+    """m_d^(k) = (1/n) E tr(G_S^d) over the subsets S of exactly k vectors, from
+    the 2^n oracle's per-size sums: row k-1 for k = 1..n, columns d = 2, 3, 4."""
+    table = bruteforce_table(frame, d_max=4)
+    return np.array([table.subset_sums[k, 1:] / math.comb(frame.n, k)
+                     for k in range(1, frame.n + 1)])
+
+
+@pytest.mark.parametrize("etf", [harmonic_etf(7), simplex_etf(6), harmonic_etf(11)],
+                         ids=["h7", "simplex6", "h11"])
+def test_fixed_size_moments_of_a_size_are_least_at_its_etf(etf):
+    # subsets of exactly k vectors (analog coding): every frame of the ETF's
+    # size lies at or above it for every k and d = 2..4; a UTF meets it at d = 2, 3
+    least = fixed_size_moments(etf)
+    for field in ("real", "complex"):
+        f = random_frame(etf.m, etf.n, field, seed=1)
+        slack = (fixed_size_moments(f) - least) / least
+        assert slack.min() >= -1e-13
+        assert slack[1:].min() > 1e-2  # strictly above once k >= 2
+        utf = fixed_size_moments(nearest_utf(f).frame)
+        assert_allclose(utf[:, :2], least[:, :2], rtol=1e-13, atol=0)
+
+
+def test_fixed_size_moments_of_the_two_2x3_etfs_agree():
+    assert_allclose(fixed_size_moments(harmonic_etf(3)), fixed_size_moments(simplex_etf(2)),
+                    rtol=1e-14, atol=0)

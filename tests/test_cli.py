@@ -161,16 +161,23 @@ def test_moments_mc_deterministic(etf_file, tmp_path):
     assert abs(float(rows[1][3]) - 0.625) <= 5.0 * float(rows[1][4])
 
 
-def test_moments_mc_rows_do_not_depend_on_the_other_orders(tmp_path):
+def test_moments_mc_rows_do_not_depend_on_the_other_orders(tmp_path, monkeypatch):
     frame = tmp_path / "f.json"
     assert main(["construct", "--kind", "random", "--m", "3", "--n", "8", "--field",
                  "complex", "--seed", "4", "--out", str(frame)]) == 0
+    # the trace kernel is asked for the --d list alone
+    asked, kernel = [], erasure_moments.trace_powers
+    monkeypatch.setattr(erasure_moments, "trace_powers",
+                        lambda a, n, orders, *rest: asked.append(list(orders))
+                        or kernel(a, n, orders, *rest))
 
     def data_lines(ds):
+        asked.clear()
         out = tmp_path / f"mc_{ds}.csv"
         assert main(["moments", "--frame", str(frame), "--p", "0.3,0.7", "--d", ds,
                      "--method", "mc", "--trials", "300", "--seed", "5",
                      "--out", str(out)]) == 0
+        assert asked and all(a == [int(d) for d in ds.split(",")] for a in asked)
         return [ln for ln in out.read_text().splitlines() if not ln.startswith("#")][1:]
 
     together = data_lines("1,2,3,4")
@@ -462,6 +469,29 @@ def test_manova_tiny_gamma_overflow_keeps_the_exact_column(tmp_path, capsys):
     (note,) = [c for c in comments if c.startswith("# d=4 numeric: ")]
     assert "overflows a float" in note
     assert "error:" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("gamma", ["1e-17", "1e-25"])
+def test_manova_bulk_too_narrow_for_doubles_keeps_the_exact_column(tmp_path, capsys, gamma):
+    out = tmp_path / "t.csv"
+    assert main(["manova", "--gamma", gamma, "--p", "0.5", "--out", str(out)]) == 0
+    comments, rows = read_csv(str(out))
+    assert [r[2] for r in rows[1:]] == ["1", "2", "3", "4"]
+    assert rows[1][3] == "0.5" and all(r[3] != "" and r[4:] == ["", ""] for r in rows[1:])
+    notes = [c for c in comments if " numeric: " in c]
+    assert len(notes) == 4 and all("too narrow for double precision" in c for c in notes)
+    assert "error:" not in capsys.readouterr().err
+
+
+def test_manova_bulk_lost_to_round_off_keeps_the_numeric_column(tmp_path):
+    # at gamma = 1e-40 support() has no bulk: the jump at r- carries the law
+    out = tmp_path / "t.csv"
+    assert main(["manova", "--gamma", "1e-40", "--p", "0.5", "--out", str(out)]) == 0
+    comments, rows = read_csv(str(out))
+    assert not [c for c in comments if " numeric: " in c]
+    closed, numeric = (np.array([float(r[k]) for r in rows[1:]]) for k in (3, 4))
+    assert len(closed) == 4 and closed[0] == 0.5
+    assert_allclose(numeric, closed, rtol=1e-12, atol=0)
 
 
 @pytest.mark.parametrize("grid", ["0", "-3"])

@@ -222,6 +222,10 @@ def test_montecarlo_validation(mercedes_benz):
         montecarlo_moment(mercedes_benz, ErasureModel(p=0.4), 2, trials=0)
     with pytest.raises(ValueError):
         montecarlo_moment(mercedes_benz, ErasureModel(p=0.4), 0, trials=10)
+    # orders must be integers in 1..d, and at least one
+    for orders in ([0], [5], [2, 2.5], [float("nan")], [True], [4, -1], []):
+        with pytest.raises(ValueError, match="moment order"):
+            montecarlo_moment(mercedes_benz, ErasureModel(p=0.4), 4, 10, orders=orders)
 
 
 @pytest.mark.parametrize("field", ["real", "complex"])
@@ -240,6 +244,25 @@ def test_montecarlo_orders_match_single_order_calls_bit_for_bit(field, p, trials
     if trials == 1:
         assert top.stderrs == (0.0,) * 5
     assert all(type(v) is float for v in top.values + top.stderrs)
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_montecarlo_orders_asked_for_keep_their_bits_and_alone_are_traced(field, monkeypatch):
+    f = random_frame(3, 7, field, seed=2)
+    model = ErasureModel(p=0.45, seed=6)
+    full = montecarlo_moment(f, model, 6, 257)
+    asked, kernel = [], erasure_moments.trace_powers
+    monkeypatch.setattr(erasure_moments, "trace_powers",
+                        lambda a, n, orders, *rest: asked.append(list(orders))
+                        or kernel(a, n, orders, *rest))
+    for orders in ([6], [4], [2], [2, 5], [5, 2], [3, 3], [1, 6], [2.0, 6]):
+        asked.clear()
+        est = montecarlo_moment(f, model, 6, 257, orders=orders)
+        assert est.values == tuple(full.values[int(k) - 1] for k in orders)
+        assert est.stderrs == tuple(full.stderrs[int(k) - 1] for k in orders)
+        assert (est.value, est.stderr) == (est.values[-1], est.stderrs[-1])
+        assert est.trials == 257 and asked and all(a == orders for a in asked)
+    assert all(type(v) is float for v in est.values + est.stderrs)
 
 
 def test_subset_rms_reduces_to_coherence_at_p1(mercedes_benz):
@@ -315,7 +338,7 @@ def fixed_masks(frame):
 @pytest.mark.parametrize("p", [0.0, 0.2, 0.6, 1.0])
 def test_erased_trace_powers_match_gram_submatrices(frame, p):
     masks = np.vstack([keep_masks(5, 200, frame.n, p), fixed_masks(frame)])
-    got = erasure_moments._erased_trace_powers(frame, masks, 6)
+    got = erasure_moments._erased_trace_powers(frame, masks, range(1, 7))
     want = literal_trace_powers(frame, masks, 6)
     assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
 
@@ -436,10 +459,10 @@ def test_montecarlo_holds_the_rank_one_table_to_the_budget():
 def test_rank_one_table_slabs_give_the_whole_table_result(monkeypatch):
     f = random_frame(6, 20, "complex", seed=3)
     masks = keep_masks(2, 300, f.n, 0.4)
-    whole = erasure_moments._erased_trace_powers(f, masks, 4)
+    whole = erasure_moments._erased_trace_powers(f, masks, (1, 2, 3, 4))
     # a budget of one operator row per slab: six slabs per block
     monkeypatch.setattr(erasure_moments, "OPERATOR_BLOCK_BYTES", 16 * 6 * 20)
-    slabbed = erasure_moments._erased_trace_powers(f, masks, 4)
+    slabbed = erasure_moments._erased_trace_powers(f, masks, (1, 2, 3, 4))
     assert_allclose(slabbed, whole, rtol=1e-13, atol=0)
     assert_allclose(whole, literal_trace_powers(f, masks, 4), rtol=1e-12, atol=1e-14)
 

@@ -518,27 +518,37 @@ def test_trace_powers_match_eigenvalue_power_sums(field, shape, m):
     a = psd_stack(shape, m, field, seed=m)
     lam = np.linalg.eigvalsh(a)
     for d_max in range(1, 9):
-        want = np.stack([(lam**d).sum(axis=-1) / 7 for d in range(1, d_max + 1)])
-        got = trace_powers(a, 7, d_max)
+        orders = range(1, d_max + 1)
+        want = np.stack([(lam**d).sum(axis=-1) / 7 for d in orders])
+        got = trace_powers(a, 7, orders)
         assert got.shape == (d_max,) + shape and got.dtype == np.float64
         assert_allclose(got, want, rtol=1e-13, atol=0)
+        assert_allclose(trace_powers(a, 7, (d_max,))[0], want[-1], rtol=1e-13, atol=0)
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
 @pytest.mark.parametrize("shape", [(3, 3), (4, 3, 3)], ids=["one", "stack"])
 def test_trace_powers_of_the_zero_matrix_are_zero(dtype, shape):
     for d_max in range(1, 9):
-        got = trace_powers(np.zeros(shape, dtype=dtype), 5, d_max)
-        assert np.array_equal(got, np.zeros((d_max,) + shape[:-2]))
+        for orders in (range(1, d_max + 1), (d_max,)):
+            got = trace_powers(np.zeros(shape, dtype=dtype), 5, orders)
+            assert np.array_equal(got, np.zeros((len(orders),) + shape[:-2]))
 
 
 @pytest.mark.parametrize("field", ["real", "complex"])
 @pytest.mark.parametrize("shape", [(), (9,)], ids=["one", "stack"])
 def test_trace_powers_depend_on_the_order_alone(field, shape):
+    # every order's bits, whatever other orders are asked for and in what order
     a = psd_stack(shape, 5, field, seed=3)
-    full = trace_powers(a, 11, 8)
+    full = trace_powers(a, 11, range(1, 9))
     for d_max in range(1, 9):
-        assert np.array_equal(trace_powers(a, 11, d_max), full[:d_max])
+        assert np.array_equal(trace_powers(a, 11, range(1, d_max + 1)), full[:d_max])
+        assert np.array_equal(trace_powers(a, 11, (d_max,)), full[d_max - 1 : d_max])
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        orders = rng.choice(np.arange(1, 9), size=rng.integers(1, 9), replace=False).tolist()
+        assert np.array_equal(trace_powers(a, 11, orders), full[np.array(orders) - 1])
+    assert np.array_equal(trace_powers(a, 11, [4, 4, 2]), full[[3, 3, 1]])
 
 
 class CountingArray(np.ndarray):
@@ -559,9 +569,10 @@ class CountingArray(np.ndarray):
 def test_trace_powers_multiply_out_only_the_half_powers(shape):
     a = psd_stack(shape, 3, "complex", seed=0).view(CountingArray)
     for d_max in range(1, 9):
-        CountingArray.products = 0
-        trace_powers(a, 3, d_max)
-        assert CountingArray.products == (d_max + 1) // 2 - 1
+        for orders in (range(1, d_max + 1), (d_max,), (1, d_max)):
+            CountingArray.products = 0
+            trace_powers(a, 3, orders)
+            assert CountingArray.products == (d_max + 1) // 2 - 1
 
 
 def json_loads_frame(text):
@@ -866,7 +877,7 @@ def stored_gram_invariants(frame):
     max_sq, floor = off.max(initial=0.0), welch_floor(m, n)
     return {
         "ffh": ffh,
-        "traces": tuple(trace_powers(ffh, n, 4).tolist()),
+        "traces": tuple(trace_powers(ffh, n, (1, 2, 3, 4)).tolist()),
         "a22": sq.sum() / n,
         "s4": (sq ** 2).sum() / n,
         "q": (sq.sum(axis=1) ** 2).sum() / n,

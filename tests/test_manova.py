@@ -327,6 +327,11 @@ def test_moment_numeric_p0_is_zero():
     assert moment_numeric(ManovaParams(gamma=0.5, p=0.0), 3) == 0.0
 
 
+def test_moment_numeric_is_a_python_float():
+    for gamma, p in ((0.5, 0.5), (0.5, 0.0), (0.5, 1.0), (1.0, 0.3), (1e-40, 0.5)):
+        assert type(moment_numeric(ManovaParams(gamma=gamma, p=p), 2)) is float
+
+
 def test_moment_numeric_bulk_touches_atom():
     # p + gamma = 1 puts r+ exactly at 1/gamma; quadrature must stay stable
     params = ManovaParams(gamma=0.4, p=0.6)

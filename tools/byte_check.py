@@ -7,8 +7,9 @@ REF is extracted with ``git archive`` into a temporary directory.  For REF and
 for the working tree, each in a fresh process with one BLAS thread, every job
 of ``workloads.plan(w, s)`` -- every workload w at seeds s = 1 and 7 -- runs
 through ``ewb.cli.main`` in a temporary directory.  Each job's exit code,
-artifact sha256 and stdout are compared; the jobs that differ are printed and
-the exit code is 1 if any do.  Only temporary directories are written to.
+artifact sha256, stdout and stderr (less its timestamped ``manifest:`` line)
+are compared; the jobs that differ are printed and the exit code is 1 if any
+do.  Only temporary directories are written to.
 """
 
 from __future__ import annotations
@@ -30,6 +31,19 @@ SEEDS = (1, 7)
 ONE_THREAD = {var: "1" for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
 
 
+def extract(ref: str, dest: Path) -> None:
+    """The committed files of git ref ref, written under dest by git archive."""
+    archive = subprocess.run(["git", "-C", str(ROOT), "archive", "--format=tar", ref],
+                             capture_output=True, check=True).stdout
+    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+        tar.extractall(dest, filter="data")
+
+
+def without_manifest(stderr: str) -> str:
+    """stderr less its ``manifest:`` lines, which carry a timestamp."""
+    return "".join(ln for ln in stderr.splitlines(keepends=True) if not ln.startswith("manifest: "))
+
+
 def collect(root: Path, out: Path) -> None:
     """Run every job of every workload at SEEDS with root's ewb and bench, and
     write one record per job to out as JSON."""
@@ -46,16 +60,17 @@ def collect(root: Path, out: Path) -> None:
                 workloads.write_inputs(plan, Path(work))
                 os.chdir(work)
                 for i, job in enumerate(plan.jobs):
-                    stdout = io.StringIO()
+                    stdout, stderr = io.StringIO(), io.StringIO()
                     try:
-                        with redirect_stdout(stdout), redirect_stderr(io.StringIO()):
+                        with redirect_stdout(stdout), redirect_stderr(stderr):
                             rc = cli.main(list(job.argv))
                     except Exception as exc:  # a crash is a result to compare
                         rc = f"raised {type(exc).__name__}: {exc}"
                     path = Path(job.out)
                     digest = hashlib.sha256(path.read_bytes()).hexdigest() if path.exists() else None
                     records.append({"job": f"{w} seed {s} job {i}", "argv": " ".join(job.argv),
-                                    "exit": rc, "sha256": digest, "stdout": stdout.getvalue()})
+                                    "exit": rc, "sha256": digest, "stdout": stdout.getvalue(),
+                                    "stderr": without_manifest(stderr.getvalue())})
                 os.chdir(root)
     out.write_text(json.dumps(records))
 
@@ -70,15 +85,16 @@ def run_collect(root: Path, out: Path) -> list:
 
 
 def differences(ref: list, here: list) -> list:
-    """One line per job whose argv, exit code, artifact or stdout differs
-    (with both stdouts when they do)."""
+    """One line per job whose argv, exit code, artifact, stdout or stderr
+    differs (with both texts of a stream that does)."""
     lines = [f"job count: {len(ref)} at REF, {len(here)} here"] if len(ref) != len(here) else []
     for a, b in zip(ref, here):
-        fields = [k for k in ("argv", "exit", "sha256", "stdout") if a[k] != b[k]]
+        fields = [k for k in ("argv", "exit", "sha256", "stdout", "stderr") if a[k] != b[k]]
         if fields:
             lines.append(f"{a['job']} ({a['argv']}): {', '.join(fields)} differ")
-            if "stdout" in fields:
-                lines += [f"  REF:  {a['stdout']!r}", f"  here: {b['stdout']!r}"]
+            for k, tag in (("stdout", ""), ("stderr", " stderr")):
+                if k in fields:
+                    lines += [f"  REF{tag}:  {a[k]!r}", f"  here{tag}: {b[k]!r}"]
     return lines
 
 
@@ -94,17 +110,14 @@ def main(argv=None) -> int:
         ap.error("the following arguments are required: ref")
     with tempfile.TemporaryDirectory(prefix="byte-check-") as tmp:
         tmp = Path(tmp)
-        archive = subprocess.run(["git", "-C", str(ROOT), "archive", "--format=tar", args.ref],
-                                 capture_output=True, check=True).stdout
-        with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
-            tar.extractall(tmp / "ref", filter="data")
+        extract(args.ref, tmp / "ref")
         ref = run_collect(tmp / "ref", tmp / "ref.json")
         here = run_collect(ROOT, tmp / "here.json")
     diff = differences(ref, here)
     same = sum(a == b for a, b in zip(ref, here)) if len(ref) == len(here) else 0
     for line in diff:
         print(line)
-    print(f"{same} of {len(here)} jobs identical in exit code, artifact sha256 and stdout "
+    print(f"{same} of {len(here)} jobs identical in exit code, artifact sha256, stdout and stderr "
           f"(every workload at seeds {' and '.join(map(str, SEEDS))}, against {args.ref})")
     return 1 if diff else 0
 
