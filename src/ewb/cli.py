@@ -94,9 +94,14 @@ _floats = _list_of(float)
 _ints = _list_of(int)
 
 
-def _sorted_within(vals, what: str, lo, hi) -> list:
-    """vals sorted, after checking that every value lies in lo..hi (NaN never does)."""
-    return sorted(within(v, what, lo, hi) for v in vals)
+def _sorted_within(vals, what: str, lo=-math.inf, hi=math.inf) -> list:
+    """vals sorted, after checking that every value lies in lo..hi (NaN never
+    does) and that none repeats; -0.0 reads as 0.0."""
+    vals = sorted(within(v, what, lo, hi) + 0 for v in vals)  # -0.0 + 0 is 0.0
+    for a, b in zip(vals, vals[1:]):
+        if a == b:
+            raise ValueError(f"{what} must not repeat, got {a} more than once")
+    return vals
 
 
 def _resolve_seed(args) -> int:
@@ -338,7 +343,7 @@ def _sweep_frames(args, seed: int):
     built once at the first frame seed (the seeds only grow from there)."""
     needs, recorded, build = CONSTRUCTIONS[args.family]
     _require(args, needs, f"{args.family} sweep")
-    lists = [sorted(getattr(args, k)) for k in needs]
+    lists = [_sorted_within(getattr(args, k), f"sweep --{k} values") for k in needs]
     cells = [dict(zip(needs, vals)) for vals in itertools.product(*lists)]
     cells = [c for c in cells if "n" not in c or c["n"] >= c["m"]]
     if not cells:

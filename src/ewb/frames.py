@@ -16,9 +16,13 @@ the Gram matrix on first request; a race only computes them twice).
 from __future__ import annotations
 
 import csv
+import hashlib
 import itertools
 import json
-from contextlib import contextmanager
+import os
+import stat
+import struct
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -371,11 +375,21 @@ def nearest_utf(frame: Frame, max_iters: int = 500, tol: float = 1e-9) -> Neares
 # float.__repr__ (shortest round-trip), so saved frames reload bit-identically,
 # signed zeros included.  The reader decodes a window of _WINDOW characters and
 # one data row at a time.  CSV is accepted for real frames only (m rows, n columns).
+#
+# Beside a JSON frame file in a regular file, save_frame writes the sidecar
+# <file>.ewbcache, a cache of what reading the file gives: _CACHE_HEAD (magic,
+# the SHA-256 of the file's bytes, the length of the record), the record (the
+# saved object's JSON with "data": null: field, m, n and the extra keys), then
+# the entries as little-endian float64, a complex entry as its (re, im) pair.
+# read_frame takes the frame from it only when that digest is the file's, and
+# parses the file otherwise; it never writes, and deleting a sidecar is safe.
 # ---------------------------------------------------------------------------
 
 _FRAME_KEYS = ("field", "m", "n", "data")
 _JSON, _SPACE = json.JSONDecoder(), json.decoder.WHITESPACE.match
 _WINDOW = 1 << 17  # characters of a frame file decoded at a time
+_CACHE_HEAD, _CACHE_MAGIC = struct.Struct("<8s32sQ"), b"ewbframe"
+_CHUNK = 1 << 16  # bytes of a frame file hashed at a time
 
 
 def _char(s: str, idx: int):
@@ -470,14 +484,36 @@ def writing(path: str | Path, newline: str | None = None):
         raise
 
 
+def _cache_path(path) -> Path:
+    return Path(f"{os.fspath(path)}.ewbcache")
+
+
+def _write_cache(cache: Path, digest: bytes, record: str, entries: np.ndarray) -> None:
+    """The sidecar, written whole to a temporary file and renamed onto cache;
+    an OSError leaves no sidecar and is not raised."""
+    tmp = Path(f"{cache}.tmp")
+    record = record.encode()
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(_CACHE_HEAD.pack(_CACHE_MAGIC, digest, len(record)) + record)
+            fh.write(np.ascontiguousarray(entries, entries.dtype.newbyteorder("<")))
+        os.replace(tmp, cache)
+    except OSError:
+        with suppress(OSError):
+            tmp.unlink(missing_ok=True)
+
+
 def save_frame(frame: Frame, path: str | Path, extra: dict | None = None) -> None:
-    """Write frame (and the top-level keys of extra after it) as frame JSON.
+    """Write frame (and the top-level keys of extra after it) as frame JSON,
+    and, when path is a regular file, its sidecar <path>.ewbcache.
 
     The bytes equal json.dumps({"field", "m", "n", "data", **extra},
     indent=1) + "\n"; the data array is streamed one row at a time, so no
     text or nested list of the whole frame is held in memory.  A NaN or
     infinite value in extra raises ValueError before the file is created; a
-    write that fails after it removes the file.
+    write that fails after it removes the file.  Any old sidecar is removed
+    before the file opens, so a failed save leaves neither; a sidecar that
+    cannot be written is left out and the save stands.
     """
     extra = extra or {}
     if any(k in extra for k in _FRAME_KEYS):
@@ -494,17 +530,61 @@ def save_frame(frame: Frame, path: str | Path, extra: dict | None = None) -> Non
     else:
         rows, cell = frame.entries.view(np.float64), "[\n    {},\n    {}\n   ]"
     row_text = "[\n   " + ",\n   ".join([cell] * frame.n) + "\n  ]"
+    cache, digest = _cache_path(path), hashlib.sha256()
+    with suppress(OSError):  # a sidecar that stays is keyed to the old bytes
+        cache.unlink(missing_ok=True)
     with writing(path) as fh:
-        fh.write(head + '\n "data": [')
+
+        def write(text):  # the text is ASCII (json escapes the rest), its bytes its UTF-8
+            fh.write(text)
+            digest.update(text.encode())
+
+        write(head + '\n "data": [')
         for i, row in enumerate(rows):
             text = row_text.format(*map(float.__repr__, row.tolist()))
-            fh.write((",\n  " if i else "\n  ") + text)
-        fh.write("\n ]" + tail + "\n")
+            write((",\n  " if i else "\n  ") + text)
+        write("\n ]" + tail + "\n")
+        regular = stat.S_ISREG(os.fstat(fh.fileno()).st_mode)
+    if regular:
+        _write_cache(cache, digest.digest(), head + marker + tail, frame.entries)
+
+
+def _cached(fh, path: Path):
+    """read_frame's result from path's sidecar, if fh, the frame file opened, is
+    a regular file whose bytes have the sidecar's digest and the sidecar is
+    whole; else None, with fh left at its start."""
+    if not stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+        return None
+    try:
+        with open(_cache_path(path), "rb") as cache:
+            blob = cache.read()
+        magic, digest, size = _CACHE_HEAD.unpack_from(blob)
+        start = _CACHE_HEAD.size + size
+        obj = json.loads(blob[_CACHE_HEAD.size:start])
+    except (OSError, ValueError, RecursionError, struct.error):
+        return None
+    if magic != _CACHE_MAGIC or type(obj) is not dict or obj.get("field") not in (REAL, COMPLEX):
+        return None
+    field, shape = obj["field"], (obj.get("m"), obj.get("n"))
+    dtype = np.dtype("<c16" if field == COMPLEX else "<f8")
+    if (not all(type(k) is int and k > 0 for k in shape)
+            or len(blob) - start != shape[0] * shape[1] * dtype.itemsize):
+        return None
+    hashed = hashlib.sha256()
+    while chunk := fh.buffer.read(_CHUNK):
+        hashed.update(chunk)
+    fh.seek(0)
+    if hashed.digest() != digest:
+        return None
+    extra = {k: v for k, v in obj.items() if k not in _FRAME_KEYS}
+    return Frame(field, np.frombuffer(blob, dtype, offset=start).reshape(shape)), extra
 
 
 def read_frame(path: str | Path) -> tuple[Frame, dict]:
     """One parse of a frame file: the frame and the file's other top-level keys
-    (none for CSV).  Peak memory: a window of the text, then twice the entries."""
+    (none for CSV).  Peak memory: a window of the text, then twice the entries.
+    A JSON file that save_frame wrote is read from its sidecar instead, while
+    the sidecar's digest is the file's; Frame checks those entries too."""
     path = Path(path)
     if path.suffix.lower() == ".csv":
         with open(path, newline="") as fh:
@@ -513,6 +593,9 @@ def read_frame(path: str | Path) -> tuple[Frame, dict]:
     else:
         try:
             with open(path) as fh:  # the encoding and newlines of Path.read_text
+                cached = _cached(fh, path)
+                if cached:
+                    return cached
                 obj = _decode_frame_json(fh)
         except RecursionError:
             raise ValueError("frame JSON nests too deeply") from None

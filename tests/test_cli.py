@@ -1,6 +1,7 @@
 import csv
 import gc
 import json
+import os
 import shlex
 import tracemalloc
 import warnings
@@ -339,7 +340,11 @@ def test_frame_file_without_a_key_names_it(tmp_path, capsys, command, key):
     assert capsys.readouterr().err == f"error: frame JSON is missing the key(s) {key!r}\n"
 
 
-def test_bound_reads_and_decodes_frame_file_once(etf_file, tmp_path, monkeypatch):
+def bound_opens_and_decodes(etf_file, tmp_path, monkeypatch, sidecar):
+    """ewb bound on etf_file, with its sidecar or without: it opens the frame
+    file once and decodes it only without the sidecar."""
+    if not sidecar:
+        frames._cache_path(etf_file).unlink()
     opens, decodes = [], []
     builtin_open, decode = open, frames._decode_frame_json
 
@@ -359,8 +364,17 @@ def test_bound_reads_and_decodes_frame_file_once(etf_file, tmp_path, monkeypatch
     assert main(["bound", "--frame", etf_file, "--p", "0.5", "--d", "2", "--out", str(out)]) == 0
     monkeypatch.undo()
     assert [p for p in opens if p == etf_file] == [etf_file]
-    assert decodes == [etf_file]
+    assert decodes == ([] if sidecar else [etf_file])
     assert json.loads(out.read_text())["frame"]["construction"]["kind"] == "simplex"
+
+
+def test_bound_reads_and_decodes_frame_file_once(etf_file, tmp_path, monkeypatch):
+    bound_opens_and_decodes(etf_file, tmp_path, monkeypatch, sidecar=False)
+
+
+def test_bound_reads_frame_file_once_and_decodes_no_text_with_a_sidecar(etf_file, tmp_path,
+                                                                         monkeypatch):
+    bound_opens_and_decodes(etf_file, tmp_path, monkeypatch, sidecar=True)
 
 
 def test_bound_on_csv_frame_has_empty_construction(tmp_path):
@@ -962,3 +976,91 @@ def test_every_readme_example_parses():
     assert len(commands) >= 12
     for argv in commands:  # argparse exits 2, failing the test, on a stale example
         assert build_parser().parse_args(argv[1:]).command == argv[1]
+
+
+@pytest.mark.parametrize("argv, repeated", [
+    (["moments", "--frame", "{f}", "--p", "0.5", "--d", "4,4"], "moment orders must not repeat, got 4"),
+    (["moments", "--frame", "{f}", "--p", "0.5,0.2,0.5", "--d", "2", "--method", "mc",
+      "--trials", "10"], "keep probabilities must not repeat, got 0.5"),
+    (["moments", "--frame", "{f}", "--p", "0,-0.0", "--d", "2"],
+     "keep probabilities must not repeat, got 0.0"),
+    (["manova", "--gamma", "0.5", "--p", "0.5", "--d", "2,2"], "law orders must not repeat, got 2"),
+    (["bound", "--frame", "{f}", "--p", "0.5,0.5", "--d", "2"], "keep probabilities must not repeat, got 0.5"),
+    (["bound", "--frame", "{f}", "--p", "0.5", "--d", "3,2,3"], "bound orders must not repeat, got 3"),
+    (["sweep", "--family", "simplex", "--m", "2,2", "--p", "0.5", "--d", "2"],
+     "sweep --m values must not repeat, got 2"),
+    (["sweep", "--family", "random", "--m", "2", "--n", "3,4,3", "--p", "0.5", "--d", "2"],
+     "sweep --n values must not repeat, got 3"),
+    (["sweep", "--family", "simplex", "--m", "2", "--p", "0.5", "--d", "2,2"],
+     "sweep orders must not repeat, got 2"),
+])
+def test_a_repeated_list_value_exits_2_and_is_named(etf_file, tmp_path, capsys, argv, repeated):
+    out = tmp_path / "out"
+    assert main([a.format(f=etf_file) for a in argv] + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {repeated} more than once\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("method", ["poly", "brute", "mc"])
+def test_moments_read_minus_zero_probability_as_zero(etf_file, tmp_path, method):
+    rows = {}
+    for p in ("-0.0", "0"):
+        out = tmp_path / f"{p}.csv"
+        assert main(["moments", "--frame", etf_file, "--p", p, "--d", "1,2", "--method", method,
+                     "--trials", "10", "--out", str(out)]) == 0
+        rows[p] = read_csv(out)[1]
+    assert rows["-0.0"] == rows["0"]
+    assert [row[0] for row in rows["0"][1:]] == ["0", "0"]
+    assert "-0" not in [cell for row in rows["0"][1:] for cell in row]
+
+
+def test_a_sidecar_without_its_frame_file_exits_2_as_a_missing_file(etf_file, tmp_path, capsys):
+    Path(etf_file).unlink()
+    assert frames._cache_path(etf_file).is_file()
+    missing = str(tmp_path / "never.json")
+    for path in (etf_file, missing):
+        assert main(["bound", "--frame", path, "--p", "0.5", "--d", "2"]) == 2
+    errs = capsys.readouterr().err.splitlines()
+    assert errs == [f"error: [Errno 2] No such file or directory: {p!r}" for p in (etf_file, missing)]
+
+
+def test_construct_to_a_special_file_writes_no_sidecar(tmp_path):
+    out = tmp_path / "null.json"
+    out.symlink_to(os.devnull)
+    assert main(["construct", "--kind", "harmonic", "--q", "7", "--out", str(out)]) == 0
+    assert list(tmp_path.iterdir()) == [out]
+
+
+def test_commands_give_the_same_bytes_with_and_without_the_sidecar(tmp_path, capsys, monkeypatch):
+    names = {"real.json": ["--kind", "random", "--m", "3", "--n", "7", "--seed", "4"],
+             "complex.json": ["--kind", "random", "--m", "2", "--n", "6", "--field", "complex"]}
+    for name, kind in names.items():
+        assert main(["construct", *kind, "--out", str(tmp_path / name)]) == 0
+    capsys.readouterr()
+    commands = [
+        ["bound", "--p", "0.2,0.7", "--d", "2,3,4"],
+        ["moments", "--p", "0.3,0.9", "--d", "1,2,3,4", "--method", "poly"],
+        ["moments", "--p", "0.3,0.9", "--d", "1,2,3,4", "--method", "brute"],
+        ["moments", "--p", "0.3,0.9", "--d", "2,4", "--method", "mc", "--trials", "64", "--seed", "5"],
+        ["construct", "--kind", "nearest-utf"],
+    ]
+    runs = {}
+    for sidecar in (True, False):
+        if not sidecar:
+            for name in names:
+                frames._cache_path(tmp_path / name).unlink()
+        parses = []
+        decode = frames._decode_frame_json
+        monkeypatch.setattr(frames, "_decode_frame_json", lambda fh: parses.append(fh) or decode(fh))
+        for name in names:
+            for i, command in enumerate(commands):
+                out = tmp_path / f"{name}-{i}.out"  # the same path, which the manifest names
+                assert main([*command, "--frame", str(tmp_path / name), "--out", str(out)]) == 0
+                std = capsys.readouterr()
+                err = "".join(ln for ln in std.err.splitlines(True) if not ln.startswith("manifest: "))
+                runs[sidecar, name, i] = (out.read_bytes(), std.out, err)
+        monkeypatch.undo()
+        assert len(parses) == (0 if sidecar else len(names) * len(commands))
+    for key in runs:
+        if key[0]:
+            assert runs[key] == runs[(False,) + key[1:]], key

@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import json
+import os
 import tracemalloc
 
 import numpy as np
@@ -374,10 +375,13 @@ def json_dumps_layout(frame, extra=None):
 def assert_saved_as_json_dumps(frame, path, extra=None):
     save_frame(frame, path, extra=extra)
     assert path.read_text() == json_dumps_layout(frame, extra)
-    back = load_frame(path)
-    assert back.field == frame.field
-    # tobytes compares sign bits, which array_equal does not
-    assert back.entries.tobytes() == frame.entries.tobytes()
+    for sidecar in (True, False):  # read from the sidecar, then by the parser
+        if not sidecar:
+            frames._cache_path(path).unlink()
+        back = load_frame(path)
+        assert back.field == frame.field
+        # tobytes compares sign bits, which array_equal does not
+        assert back.entries.tobytes() == frame.entries.tobytes()
 
 
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -417,11 +421,12 @@ def test_save_frame_that_fails_mid_write_leaves_no_file(tmp_path, monkeypatch):
         fh.write = write
         return fh
 
-    monkeypatch.setattr(frames, "open", full_disk, raising=False)
     path = tmp_path / "f.json"
+    save_frame(random_frame(3, 7, "complex", seed=0), path)  # an earlier save and its sidecar
+    monkeypatch.setattr(frames, "open", full_disk, raising=False)
     with pytest.raises(OSError, match="No space left"):
         save_frame(random_frame(3, 7, "complex", seed=1), path)
-    assert not path.exists()
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_save_frame_extra_keys_match_json_dumps(tmp_path):
@@ -717,17 +722,29 @@ def test_property_windowed_read_matches_json_loads_on_mutated_texts(tmp_path, mo
     assert_reads_like_json_loads(tmp_path / "f.json", mutated(FRAME_TEXTS[base], edits))
 
 
-@pytest.mark.parametrize("window", WINDOWS + [frames._WINDOW])
-@pytest.mark.parametrize("field", ["real", "complex"])
-def test_windowed_read_of_saved_frames_with_brackets_in_strings(tmp_path, monkeypatch, window, field):
+def read_saved_frame_with_brackets_in_strings(tmp_path, monkeypatch, window, field, sidecar):
     monkeypatch.setattr(frames, "_WINDOW", window)
     frame = random_frame(3, 5, field, seed=window)
     extra = {"note": "]}", "z": ["]}", {"data": "\"]}],", "m": [[1.0]]}], "w": "}\n]"}
     path = tmp_path / "f.json"
     save_frame(frame, path, extra=extra)
+    if not sidecar:  # else the reads below take the sidecar, which has no window
+        frames._cache_path(path).unlink()
     assert_reads_like_json_loads(path, path.read_text())
     got, got_extra = frames.read_frame(path)
     assert got.entries.tobytes() == frame.entries.tobytes() and got_extra == extra
+
+
+@pytest.mark.parametrize("window", WINDOWS + [frames._WINDOW])
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_windowed_read_of_saved_frames_with_brackets_in_strings(tmp_path, monkeypatch, window, field):
+    read_saved_frame_with_brackets_in_strings(tmp_path, monkeypatch, window, field, sidecar=False)
+
+
+@pytest.mark.parametrize("window", WINDOWS + [frames._WINDOW])
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_sidecar_read_of_saved_frames_with_brackets_in_strings(tmp_path, monkeypatch, window, field):
+    read_saved_frame_with_brackets_in_strings(tmp_path, monkeypatch, window, field, sidecar=True)
 
 
 @pytest.mark.parametrize("number, cut", [("1e4002", "1e4"), ("1e+4002", "1e+"), ("-2.5E-400", "-2.5E-")])
@@ -751,9 +768,12 @@ def test_every_window_reads_a_number_cut_in_its_exponent(tmp_path, monkeypatch, 
     assert cut in tails
 
 
-def read_frame_peak(path, q):
-    """tracemalloc peak of read_frame on the saved harmonic ETF of order q."""
+def read_frame_peak(path, q, sidecar):
+    """tracemalloc peak of read_frame on the saved harmonic ETF of order q, read
+    from its sidecar or, with the sidecar deleted, by the parser."""
     save_frame(harmonic_etf(q), path)
+    if not sidecar:
+        frames._cache_path(path).unlink()
     frames.read_frame(path)
     tracemalloc.start()
     try:
@@ -766,12 +786,22 @@ def read_frame_peak(path, q):
 def test_read_frame_memory_is_bounded_by_the_text(tmp_path):
     path = tmp_path / "h131.json"
     # a window of the text, the rows and the frame; the text and its bytes were 2.0x
-    assert read_frame_peak(path, 131) <= 1.75 * path.stat().st_size
+    assert read_frame_peak(path, 131, sidecar=False) <= 1.75 * path.stat().st_size
 
 
 def test_read_frame_memory_of_a_larger_file_is_below_its_size(tmp_path):
     path = tmp_path / "h251.json"
-    assert read_frame_peak(path, 251) <= 0.75 * path.stat().st_size
+    assert read_frame_peak(path, 251, sidecar=False) <= 0.75 * path.stat().st_size
+
+
+def test_sidecar_read_memory_is_bounded_by_the_text(tmp_path):
+    path = tmp_path / "h131.json"
+    assert read_frame_peak(path, 131, sidecar=True) <= 1.75 * path.stat().st_size
+
+
+def test_sidecar_read_memory_of_a_larger_file_is_below_its_size(tmp_path):
+    path = tmp_path / "h251.json"
+    assert read_frame_peak(path, 251, sidecar=True) <= 0.75 * path.stat().st_size
 
 
 def test_frame_invariants_memory_is_a_few_grams():
@@ -894,3 +924,163 @@ def test_invariants_have_the_bits_of_a_stored_gram(frame):
     assert [f.name for f in dataclasses.fields(inv)] == list(want)
     for name, value in want.items():
         assert np.asarray(getattr(inv, name)).tobytes() == np.asarray(value).tobytes(), name
+
+
+# ---------------------------------------------------------------------------
+# the sidecar cache of saved frames
+# ---------------------------------------------------------------------------
+
+SIDECAR_FRAMES = {
+    "real": random_frame(4, 9, "real", seed=3),
+    "complex": random_frame(3, 7, "complex", seed=4),
+    "real n = 1": Frame("real", np.array([[-1.0]])),
+    "complex n = 1": Frame("complex", np.array([[complex(-0.0, -1.0)]])),
+    "signed zeros": Frame("real", np.array([[-0.0, 1.0], [-1.0, -0.0]])),
+    "complex signed zeros": Frame("complex", np.array([[complex(1.0, -0.0), complex(-0.0, -0.0)],
+                                                       [complex(-0.0, 0.0), complex(-0.0, -1.0)]])),
+}
+SIDECAR_EXTRAS = {
+    "construction": {"kind": "x", "params": [1, 2.5, -0.0, 10**30, {"deep": [None, True, [[]]]}]},
+    "note": "Welch bound \u2014 \u00fc \u2211 \U0001d53d ]}\n",
+    "1": {},
+}
+
+
+def parsed(path):
+    """read_frame of a copy of path, which has no sidecar: the parser's result."""
+    copy = path.with_name("parsed-" + path.name)
+    copy.write_bytes(path.read_bytes())
+    return frames.read_frame(copy)
+
+
+def assert_same_read(got, want):
+    assert got[0].field == want[0].field
+    assert got[0].entries.tobytes() == want[0].entries.tobytes()  # sign bits too
+    # json.dumps tells -0.0 from 0.0 and sees the key order
+    assert got[1] == want[1] and json.dumps(got[1]) == json.dumps(want[1])
+
+
+def count_parses(monkeypatch):
+    """The list of files read_frame parses from now on."""
+    seen, decode = [], frames._decode_frame_json
+
+    def counting(fh):
+        seen.append(fh.name)
+        return decode(fh)
+
+    monkeypatch.setattr(frames, "_decode_frame_json", counting)
+    return seen
+
+
+@pytest.mark.parametrize("extra", [None, SIDECAR_EXTRAS], ids=["no extras", "extras"])
+@pytest.mark.parametrize("name", sorted(SIDECAR_FRAMES))
+def test_sidecar_read_has_the_parser_bits_and_extras(tmp_path, monkeypatch, name, extra):
+    frame, path = SIDECAR_FRAMES[name], tmp_path / "f.json"
+    save_frame(frame, path, extra=extra)
+    assert frames._cache_path(path).is_file()
+    want = parsed(path)
+    parses = count_parses(monkeypatch)
+    got = frames.read_frame(path)
+    assert parses == []
+    assert_same_read(got, want)
+    assert got[0].entries.tobytes() == frame.entries.tobytes()
+    assert got[1] == (extra or {})
+
+
+SIDECAR_STATES = {
+    "absent": lambda blob: None,
+    "empty": lambda blob: b"",
+    "header only": lambda blob: blob[:frames._CACHE_HEAD.size],
+    "truncated": lambda blob: blob[:len(blob) // 2],
+    "garbage": lambda blob: bytes((7 * i + 3) % 256 for i in range(len(blob))),
+    "other magic": lambda blob: b"x" + blob[1:],
+    "an entry short": lambda blob: blob[:-8],
+    "an entry long": lambda blob: blob + bytes(8),
+    "record longer than the file": lambda blob: blob[:40] + (2**60).to_bytes(8, "little") + blob[48:],
+}
+
+
+@pytest.mark.parametrize("state", sorted(SIDECAR_STATES))
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_sidecar_that_is_not_whole_gives_the_parser_result(tmp_path, monkeypatch, state, field):
+    path = tmp_path / "f.json"
+    save_frame(random_frame(3, 5, field, seed=1), path, extra=SIDECAR_EXTRAS)
+    cache = frames._cache_path(path)
+    blob = SIDECAR_STATES[state](cache.read_bytes())
+    cache.unlink()
+    if blob is not None:
+        cache.write_bytes(blob)
+    want = parsed(path)
+    parses = count_parses(monkeypatch)
+    assert_same_read(frames.read_frame(path), want)
+    assert parses == [str(path)]
+
+
+def edited_in_place(path, old: bytes, new: bytes):
+    """path with its first old replaced by new, of the same length, and its
+    modification time put back."""
+    st = path.stat()
+    path.write_bytes(path.read_bytes().replace(old, new, 1))
+    os.utime(path, ns=(st.st_atime_ns, st.st_mtime_ns))
+    assert (path.stat().st_size, path.stat().st_mtime_ns) == (st.st_size, st.st_mtime_ns)
+
+
+def test_stale_sidecar_gives_the_parser_result(tmp_path):
+    path = tmp_path / "f.json"
+    save_frame(random_frame(3, 5, "complex", seed=2), path, extra={"note": "a"})
+    edited_in_place(path, b'"a"', b'"b"')
+    got = frames.read_frame(path)
+    assert got[1] == {"note": "b"}
+    assert_same_read(got, parsed(path))
+
+
+def test_stale_sidecar_gives_the_parser_error(tmp_path):
+    path = tmp_path / "f.json"
+    save_frame(Frame("real", np.array([[1.0]])), path)
+    edited_in_place(path, b"1.0", b"2.0")
+    with pytest.raises(ValueError, match="column norms"):
+        frames.read_frame(path)
+
+
+@pytest.mark.parametrize("fail", ["open", "write", "replace"])
+def test_sidecar_that_cannot_be_written_leaves_none_and_the_save_stands(tmp_path, monkeypatch, fail):
+    path, frame = tmp_path / "f.json", random_frame(3, 5, "complex", seed=1)
+    save_frame(random_frame(3, 5, "complex", seed=0), path)  # an earlier save and its sidecar
+
+    def no_space(*args, **kwargs):
+        raise OSError(28, "No space left on device")
+
+    def sidecar_open(file, *args, **kwargs):
+        if not str(file).endswith(".tmp"):
+            return open(file, *args, **kwargs)
+        if fail == "open":
+            no_space()
+        fh = open(file, *args, **kwargs)
+        fh.write = no_space
+        return fh
+
+    monkeypatch.setattr(frames, "open", sidecar_open, raising=False)
+    if fail == "replace":
+        monkeypatch.setattr(frames.os, "replace", no_space)
+    save_frame(frame, path)
+    monkeypatch.undo()
+    assert list(tmp_path.iterdir()) == [path]
+    assert frames.read_frame(path)[0].entries.tobytes() == frame.entries.tobytes()
+
+
+def test_reading_in_a_read_only_directory_creates_nothing(tmp_path):
+    ro = tmp_path / "ro"
+    ro.mkdir()
+    paths = [ro / name for name in ("hit.json", "stale.json", "plain.json")]
+    for seed, path in enumerate(paths):
+        save_frame(random_frame(3, 5, "complex", seed=seed), path, extra={"note": "a"})
+    edited_in_place(paths[1], b'"a"', b'"b"')
+    frames._cache_path(paths[2]).unlink()
+    before = sorted((p.name, p.read_bytes()) for p in ro.iterdir())
+    ro.chmod(0o555)
+    try:
+        for path in paths:
+            frames.read_frame(path)
+    finally:
+        ro.chmod(0o755)
+    assert sorted((p.name, p.read_bytes()) for p in ro.iterdir()) == before
