@@ -15,7 +15,7 @@ The p = 1 specialization bounds the full-frame trace moment:
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 from ._checks import integer, sizes, within
 from .erasure_moments import expected_moment, trace_moment
@@ -53,7 +53,9 @@ class BoundReport:
     equality_class: str
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        # the fields are flat scalars, so a shallow copy is dataclasses.asdict
+        # without its deep copy of each value
+        return dict(vars(self))
 
 
 def erasure_welch_bound(m: int, n: int, p: float, d: int) -> float:

@@ -299,6 +299,7 @@ def cmd_bound(args) -> int:
 
 
 def cmd_manova(args) -> int:
+    args.p += 0  # -0.0 reads as 0.0 in the rows and the manifest, as in _sorted_within
     params = ManovaParams(gamma=args.gamma, p=args.p)
     # moment_closed costs grow like d^3; at d = 64 a row takes milliseconds
     ds = _sorted_within(args.d or [1, 2, 3, 4], "law orders", 1, 64)

@@ -227,7 +227,7 @@ def bruteforce_table(frame: Frame, d_max: int = 4) -> BruteforceTable:
         for k in np.unique(ks):
             sel = ks == k
             for j in range(d_max):
-                partial[int(k)][j].append(math.fsum(vals[j][sel]))
+                partial[int(k)][j].append(math.fsum(vals[j][sel].tolist()))
     sums = np.array(
         [[math.fsum(partial[k][j]) for j in range(d_max)] for k in range(n + 1)]
     )

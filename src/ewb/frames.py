@@ -19,6 +19,7 @@ import csv
 import hashlib
 import itertools
 import json
+import mmap
 import os
 import stat
 import struct
@@ -373,23 +374,30 @@ def nearest_utf(frame: Frame, max_iters: int = 500, tol: float = 1e-9) -> Neares
 # row-major rows, complex entries as [re, im], then the extra keys}, laid out
 # byte for byte as json.dumps(obj, indent=1) + "\n".  Floats are written with
 # float.__repr__ (shortest round-trip), so saved frames reload bit-identically,
-# signed zeros included.  The reader decodes a window of _WINDOW characters and
-# one data row at a time.  CSV is accepted for real frames only (m rows, n columns).
+# signed zeros included; a frame whose entries repeat has each distinct value
+# formatted once.  The reader decodes a window of _WINDOW characters and one
+# data row at a time.  CSV is accepted for real frames only (m rows, n columns).
 #
 # Beside a JSON frame file in a regular file, save_frame writes the sidecar
 # <file>.ewbcache, a cache of what reading the file gives: _CACHE_HEAD (magic,
-# the SHA-256 of the file's bytes, the length of the record), the record (the
-# saved object's JSON with "data": null: field, m, n and the extra keys), then
-# the entries as little-endian float64, a complex entry as its (re, im) pair.
-# read_frame takes the frame from it only when that digest is the file's, and
-# parses the file otherwise; it never writes, and deleting a sidecar is safe.
+# the key, the length of the record), the record (the saved object's JSON with
+# "data": null: field, m, n and the extra keys), then the entries as
+# little-endian float64, a complex entry as its (re, im) pair.  The key is the
+# SHA-256 of the file's bytes' SHA-256 and of every sidecar byte after the key.
+# read_frame takes the frame from a whole sidecar only when its key is that of
+# the file and the sidecar, and parses the file otherwise; it never writes, and
+# deleting a sidecar is safe.
 # ---------------------------------------------------------------------------
 
 _FRAME_KEYS = ("field", "m", "n", "data")
 _JSON, _SPACE = json.JSONDecoder(), json.decoder.WHITESPACE.match
 _WINDOW = 1 << 17  # characters of a frame file decoded at a time
 _CACHE_HEAD, _CACHE_MAGIC = struct.Struct("<8s32sQ"), b"ewbframe"
+_KEY_END = struct.calcsize("<8s32s")  # the key covers the sidecar's bytes from here on
 _CHUNK = 1 << 16  # bytes of a frame file hashed at a time
+_REPR_WIDTH = 24  # no float64 repr is longer: -2.2250738585072014e-308
+_REPR_CHUNK = 1 << 12  # distinct values formatted at a time
+_MAP_BYTES = 1 << 17  # glibc's first mmap threshold
 
 
 def _char(s: str, idx: int):
@@ -472,10 +480,11 @@ def _decode_frame_json(fh) -> dict:
 
 
 @contextmanager
-def writing(path: str | Path, newline: str | None = None):
-    """path opened for writing text; an exception inside the block removes the
-    file before it propagates, so a write that does not finish leaves no file."""
-    fh = open(path, "w", newline=newline)
+def writing(path: str | Path, mode: str = "w", newline: str | None = None):
+    """path opened for writing (text unless mode says "wb"); an exception inside
+    the block removes the file before it propagates, so a write that does not
+    finish leaves no file."""
+    fh = open(path, mode, newline=newline)
     try:
         with fh:
             yield fh
@@ -488,19 +497,95 @@ def _cache_path(path) -> Path:
     return Path(f"{os.fspath(path)}.ewbcache")
 
 
+def _cache_key(digest: bytes, after_key) -> bytes:
+    """The sidecar's key: SHA-256 over digest, the SHA-256 of the frame file's
+    bytes, then each buffer of after_key, the sidecar's bytes after the key."""
+    key = hashlib.sha256(digest)
+    for part in after_key:
+        key.update(part)
+    return key.digest()
+
+
 def _write_cache(cache: Path, digest: bytes, record: str, entries: np.ndarray) -> None:
     """The sidecar, written whole to a temporary file and renamed onto cache;
     an OSError leaves no sidecar and is not raised."""
     tmp = Path(f"{cache}.tmp")
     record = record.encode()
+    entries = np.ascontiguousarray(entries, entries.dtype.newbyteorder("<"))
+    key = _cache_key(digest, (struct.pack("<Q", len(record)), record, entries))
     try:
         with open(tmp, "wb") as fh:
-            fh.write(_CACHE_HEAD.pack(_CACHE_MAGIC, digest, len(record)) + record)
-            fh.write(np.ascontiguousarray(entries, entries.dtype.newbyteorder("<")))
+            fh.write(_CACHE_HEAD.pack(_CACHE_MAGIC, key, len(record)) + record)
+            fh.write(entries)
         os.replace(tmp, cache)
     except OSError:
         with suppress(OSError):
             tmp.unlink(missing_ok=True)
+
+
+def _buffer(size: int, dtype) -> np.ndarray:
+    """An empty 1-D array, from _MAP_BYTES up in an anonymous mapping of its
+    own, unmapped when the array goes.  glibc maps blocks that large only until
+    freeing one raises its threshold, and then carves them from the heap; the
+    sort's buffers carved there changed which later blocks fit, and with it
+    bound-exact's peak RSS, by 3 MB in some runs and not in others."""
+    dtype = np.dtype(dtype)
+    if size * dtype.itemsize < _MAP_BYTES:
+        return np.empty(size, dtype)
+    return np.frombuffer(mmap.mmap(-1, size * dtype.itemsize, flags=mmap.MAP_PRIVATE), dtype, size)
+
+
+def _repeated_bits(bits: np.ndarray) -> np.ndarray | None:
+    """The distinct values of the uint64 array bits, sorted (one sort), when at
+    most half of its entries are distinct; else None."""
+    ordered, new = _buffer(bits.size, np.uint64), _buffer(bits.size, bool)
+    ordered[:] = bits.ravel()
+    ordered.sort()
+    new[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
+    count = np.count_nonzero(new)
+    if 2 * count > bits.size:
+        return None
+    return np.compress(new, ordered, out=np.empty(count, np.uint64))
+
+
+def _repr_table(distinct: np.ndarray) -> np.ndarray:
+    """float.__repr__ of each float64 bit pattern in distinct (uint64), as ASCII
+    NUL-padded to _REPR_WIDTH bytes; formatted _REPR_CHUNK values at a time."""
+    table, floats = np.empty(distinct.size, f"S{_REPR_WIDTH}"), distinct.view(np.float64)
+    for i in range(0, table.size, _REPR_CHUNK):
+        table[i:i + _REPR_CHUNK] = list(map(float.__repr__, floats[i:i + _REPR_CHUNK].tolist()))
+    return table
+
+
+def _row_texts(rows: np.ndarray, row_text: str):
+    """The bytes of row_text.format(*map(float.__repr__, row)) for each float64
+    row of rows, each valid until the next is asked for.  When at most half of
+    the entries are distinct, each distinct value is formatted once into a
+    table, and a row is its entries' table cells, each followed by the text
+    after its "{}", with the cells' NUL padding dropped, in buffers made once
+    per save: a row allocates only its two index arrays."""
+    bits = rows.view(np.uint64)
+    distinct = _repeated_bits(bits)
+    if distinct is None:
+        for row in rows:
+            yield row_text.format(*map(float.__repr__, row.tolist())).encode()
+        return
+    table = _repr_table(distinct)
+    start, *after = (part.encode() for part in row_text.split("{}"))
+    cells = np.empty(len(after), [("repr", table.dtype), ("after", f"S{max(map(len, after))}")])
+    cells["after"] = after
+    padded = cells.view(np.uint8)
+    text, kept = np.empty(len(start) + padded.size, np.uint8), np.empty(padded.size, bool)
+    text[:len(start)] = np.frombuffer(start, np.uint8)
+    keys, found = np.empty(len(after), np.uint64), np.empty(len(after), table.dtype)
+    for row in bits:
+        order = np.argsort(row)  # searchsorted finds sorted keys faster
+        np.take(table, np.searchsorted(distinct, np.take(row, order, out=keys)), out=found)
+        cells["repr"][order] = found
+        end = len(start) + np.count_nonzero(np.not_equal(padded, 0, out=kept))
+        np.compress(kept, padded, out=text[len(start):end])
+        yield text[:end]
 
 
 def save_frame(frame: Frame, path: str | Path, extra: dict | None = None) -> None:
@@ -509,11 +594,11 @@ def save_frame(frame: Frame, path: str | Path, extra: dict | None = None) -> Non
 
     The bytes equal json.dumps({"field", "m", "n", "data", **extra},
     indent=1) + "\n"; the data array is streamed one row at a time, so no
-    text or nested list of the whole frame is held in memory.  A NaN or
-    infinite value in extra raises ValueError before the file is created; a
-    write that fails after it removes the file.  Any old sidecar is removed
-    before the file opens, so a failed save leaves neither; a sidecar that
-    cannot be written is left out and the save stands.
+    text or nested list of the whole frame is held in memory (_row_texts).
+    A NaN or infinite value in extra raises ValueError before the file is
+    created; a write that fails after it removes the file.  Any old sidecar
+    is removed before the file opens, so a failed save leaves neither; a
+    sidecar that cannot be written is left out and the save stands.
     """
     extra = extra or {}
     if any(k in extra for k in _FRAME_KEYS):
@@ -533,17 +618,16 @@ def save_frame(frame: Frame, path: str | Path, extra: dict | None = None) -> Non
     cache, digest = _cache_path(path), hashlib.sha256()
     with suppress(OSError):  # a sidecar that stays is keyed to the old bytes
         cache.unlink(missing_ok=True)
-    with writing(path) as fh:
+    with writing(path, "wb") as fh:
 
-        def write(text):  # the text is ASCII (json escapes the rest), its bytes its UTF-8
+        def write(text):  # bytes-like; json escapes non-ASCII, so the text is its bytes
             fh.write(text)
-            digest.update(text.encode())
+            digest.update(text)
 
-        write(head + '\n "data": [')
-        for i, row in enumerate(rows):
-            text = row_text.format(*map(float.__repr__, row.tolist()))
-            write((",\n  " if i else "\n  ") + text)
-        write("\n ]" + tail + "\n")
+        write((head + '\n "data": [').encode())
+        for i, text in enumerate(_row_texts(rows, ",\n  " + row_text)):
+            write(memoryview(text)[not i:])  # no comma before the first row
+        write(("\n ]" + tail + "\n").encode())
         regular = stat.S_ISREG(os.fstat(fh.fileno()).st_mode)
     if regular:
         _write_cache(cache, digest.digest(), head + marker + tail, frame.entries)
@@ -551,14 +635,14 @@ def save_frame(frame: Frame, path: str | Path, extra: dict | None = None) -> Non
 
 def _cached(fh, path: Path):
     """read_frame's result from path's sidecar, if fh, the frame file opened, is
-    a regular file whose bytes have the sidecar's digest and the sidecar is
-    whole; else None, with fh left at its start."""
+    a regular file, the sidecar is whole and its key is that of the file's
+    bytes and its own; else None, with fh left at its start."""
     if not stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
         return None
     try:
         with open(_cache_path(path), "rb") as cache:
             blob = cache.read()
-        magic, digest, size = _CACHE_HEAD.unpack_from(blob)
+        magic, key, size = _CACHE_HEAD.unpack_from(blob)
         start = _CACHE_HEAD.size + size
         obj = json.loads(blob[_CACHE_HEAD.size:start])
     except (OSError, ValueError, RecursionError, struct.error):
@@ -574,7 +658,7 @@ def _cached(fh, path: Path):
     while chunk := fh.buffer.read(_CHUNK):
         hashed.update(chunk)
     fh.seek(0)
-    if hashed.digest() != digest:
+    if _cache_key(hashed.digest(), (memoryview(blob)[_KEY_END:],)) != key:
         return None
     extra = {k: v for k, v in obj.items() if k not in _FRAME_KEYS}
     return Frame(field, np.frombuffer(blob, dtype, offset=start).reshape(shape)), extra
@@ -584,7 +668,8 @@ def read_frame(path: str | Path) -> tuple[Frame, dict]:
     """One parse of a frame file: the frame and the file's other top-level keys
     (none for CSV).  Peak memory: a window of the text, then twice the entries.
     A JSON file that save_frame wrote is read from its sidecar instead, while
-    the sidecar's digest is the file's; Frame checks those entries too."""
+    the sidecar's key matches the file and the sidecar; Frame checks those
+    entries too."""
     path = Path(path)
     if path.suffix.lower() == ".csv":
         with open(path, newline="") as fh:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ from slack_descent import descend, slack_and_gradient
 
 from ewb import (
     ETF_EQUALITY,
+    BoundReport,
     STRICT,
     UTF_EQUALITY,
     Frame,
@@ -248,6 +250,27 @@ def test_report_to_dict(mercedes_benz):
     assert d["equality_class"] == ETF_EQUALITY
     assert_allclose(d["moment"], 0.625, atol=1e-12)
     assert np.isclose(d["slack"], 0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("frame, p, d, cls", [
+    (simplex_etf(2), 0.5, 4, ETF_EQUALITY),
+    (repeated_onb(2, 2), 0.5, 2, UTF_EQUALITY),
+    (repeated_onb(2, 2), 0.5, 4, STRICT),
+    (repeated_onb(3, 2), 1.0, 4, UTF_EQUALITY),
+    (random_frame(3, 8, "real", seed=2), 0.6, 4, STRICT),
+])
+def test_report_to_dict_is_asdict(frame, p, d, cls):
+    rep = check_theorem(frame, p, d)
+    assert rep.equality_class == cls
+    got = rep.to_dict()
+    assert got == dataclasses.asdict(rep) and list(got) == list(dataclasses.asdict(rep))
+    assert all(type(got[k]) is type(getattr(rep, k)) for k in got)
+
+
+def test_violation_report_to_dict_is_asdict():
+    rep = BoundReport(2, 3, 0.5, 2, 0.5, 0.625, -0.125, "violation")
+    assert rep.to_dict() == dataclasses.asdict(rep)
+    assert list(rep.to_dict()) == list(dataclasses.asdict(rep))
 
 
 def test_etf_family_equality_sweep():

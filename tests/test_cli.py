@@ -426,6 +426,18 @@ def test_manova_atomic_only_grid(tmp_path):
     assert any("atom_weight=1" in c for c in comments)
 
 
+@pytest.mark.parametrize("extra", [["--d", "1,2"], ["--grid", "5"]])
+def test_manova_reads_negative_zero_p_as_zero(tmp_path, monkeypatch, capsys, extra):
+    outs = []
+    for p in ("-0.0", "0.0"):
+        outs.append(tmp_path / p / "t.csv")
+        outs[-1].parent.mkdir()
+        monkeypatch.chdir(outs[-1].parent)  # the manifest records --out as given
+        assert main(["manova", "--gamma", "0.5", "--p", p, *extra, "--out", "t.csv"]) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+    assert b"-0" not in outs[0].read_bytes()
+
+
 def test_manova_rejects_bad_gamma():
     assert main(["manova", "--gamma", "1.5", "--p", "0.5"]) == 2
 

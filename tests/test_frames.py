@@ -1,7 +1,9 @@
 import csv
 import dataclasses
+import hashlib
 import json
 import os
+import struct
 import tracemalloc
 
 import numpy as np
@@ -406,6 +408,117 @@ def test_save_frame_small_and_signed_zero_frames(tmp_path, field, entries):
     assert_saved_as_json_dumps(Frame(field=field, entries=np.array(entries)), tmp_path / "f.json")
 
 
+def tables_built(monkeypatch):
+    """The sizes of the repr tables that save_frame builds from now on."""
+    built, build = [], frames._repr_table
+
+    def spying(distinct):
+        built.append(distinct.size)
+        return build(distinct)
+
+    monkeypatch.setattr(frames, "_repr_table", spying)
+    return built
+
+
+def take_writer_path(monkeypatch, writer):
+    """save_frame from now on writes every frame by the table ("table"), by
+    per-row repr ("repr") or by the path its entries choose ("chosen")."""
+    if writer == "table":
+        monkeypatch.setattr(frames, "_repeated_bits", np.unique)
+    elif writer == "repr":
+        monkeypatch.setattr(frames, "_repeated_bits", lambda bits: None)
+
+
+def special_entries_frame(field):
+    """Entries whose repr is longest, shortest, signed zero or at the switch
+    between positional and exponent notation, with their negatives."""
+    xs = [0.0, 5e-324, 2.2250738585072014e-308, 1e-300, 0.5]
+    for v in (1e-05, 0.0001):
+        xs += [np.nextafter(v, 0.0), v, np.nextafter(v, 1.0)]
+    xs = np.array(xs + [-x for x in xs])
+    if field == "real":
+        return Frame("real", np.array([xs, np.sqrt(1.0 - xs * xs)]))
+    other = xs[::-1]
+    rest = np.sqrt(1.0 - xs * xs - other * other)
+    return Frame("complex", np.array([xs + 1j * other, -rest + 1j * np.copysign(0.0, xs)]))
+
+
+SAVED_FRAMES = {
+    "real duplicated columns": lambda: Frame("real", np.hstack([random_frame(3, 5, "real", seed=5).entries] * 2)),
+    "complex duplicated columns": lambda: Frame(
+        "complex", np.hstack([random_frame(2, 3, "complex", seed=6).entries] * 3)),
+    **{f"simplex m = {m}": lambda m=m: simplex_etf(m) for m in (1, 2, 5, 12, 24)},
+    **{f"onb {m} x {c}": lambda m=m, c=c: repeated_onb(m, c) for m, c in ((1, 1), (3, 2), (4, 3))},
+    **{f"harmonic q = {q}": lambda q=q: harmonic_etf(q) for q in (3, 7, 11, 19, 23, 31)},
+    "special real entries": lambda: special_entries_frame("real"),
+    "special complex entries": lambda: special_entries_frame("complex"),
+}
+
+
+@pytest.mark.parametrize("writer", ["chosen", "table", "repr"])
+@pytest.mark.parametrize("name", sorted(SAVED_FRAMES))
+def test_save_frame_bytes_match_json_dumps_on_each_writer_path(tmp_path, monkeypatch, name, writer):
+    take_writer_path(monkeypatch, writer)
+    built = tables_built(monkeypatch)
+    frame = SAVED_FRAMES[name]()
+    assert_saved_as_json_dumps(frame, tmp_path / "f.json", extra={"construction": {"kind": name}})
+    if writer != "chosen":
+        assert len(built) == (writer == "table")
+
+
+@pytest.mark.parametrize("frame, table", [
+    (harmonic_etf(3), True),  # half of the entries distinct
+    (harmonic_etf(11), True),
+    (harmonic_etf(23), False),  # 54% distinct
+    (simplex_etf(2), False),
+    (simplex_etf(24), True),
+    (repeated_onb(4, 3), True),
+    (random_frame(8, 40, "real", seed=1), False),
+    (random_frame(16, 64, "complex", seed=2), False),
+    (nearest_utf(random_frame(4, 10, "complex", seed=3)).frame, False),
+])
+def test_save_frame_formats_a_table_when_at_most_half_of_the_entries_are_distinct(
+        tmp_path, monkeypatch, frame, table):
+    built = tables_built(monkeypatch)
+    save_frame(frame, tmp_path / "f.json")
+    floats = frame.entries.view(np.float64).size
+    distinct = np.unique(frame.entries.view(np.float64).view(np.uint64)).size
+    assert (2 * distinct <= floats) == table
+    assert built == ([distinct] if table else [])
+
+
+def save_peak(path, q, monkeypatch):
+    """Peak memory of save_frame on the harmonic ETF of order q: its tracemalloc
+    peak, with the sort's buffers, which tracemalloc does not see once they are
+    mapped, counted in full while they live."""
+    frame, repeated, peaks = harmonic_etf(q), frames._repeated_bits, []
+
+    def counting(bits):
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.reset_peak()
+        distinct = repeated(bits)
+        peaks.append(tracemalloc.get_traced_memory()[1] + bits.nbytes + bits.size)
+        tracemalloc.reset_peak()
+        return distinct
+
+    save_frame(frame, path)
+    monkeypatch.setattr(frames, "_repeated_bits", counting)
+    tracemalloc.start()
+    try:
+        save_frame(frame, path)
+        return max(peaks + [tracemalloc.get_traced_memory()[1]])
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("q", [251, 503])
+def test_save_frame_memory_is_below_the_file_size(tmp_path, monkeypatch, q):
+    path, built = tmp_path / f"h{q}.json", tables_built(monkeypatch)
+    # the sorted bits and a mask, then the table of distinct reprs
+    assert save_peak(path, q, monkeypatch) <= 0.75 * path.stat().st_size
+    assert len(built) == 2
+
+
 def test_save_frame_that_fails_mid_write_leaves_no_file(tmp_path, monkeypatch):
     def full_disk(*args, **kwargs):  # a file whose writes after the first fail
         fh = open(*args, **kwargs)
@@ -421,12 +534,19 @@ def test_save_frame_that_fails_mid_write_leaves_no_file(tmp_path, monkeypatch):
         fh.write = write
         return fh
 
-    path = tmp_path / "f.json"
-    save_frame(random_frame(3, 7, "complex", seed=0), path)  # an earlier save and its sidecar
-    monkeypatch.setattr(frames, "open", full_disk, raising=False)
-    with pytest.raises(OSError, match="No space left"):
-        save_frame(random_frame(3, 7, "complex", seed=1), path)
-    assert list(tmp_path.iterdir()) == []
+    for writer in ("table", "repr"):
+        folder = tmp_path / writer
+        folder.mkdir()
+        path = folder / "f.json"
+        save_frame(random_frame(3, 7, "complex", seed=0), path)  # an earlier save and its sidecar
+        with monkeypatch.context() as patch:
+            take_writer_path(patch, writer)
+            built = tables_built(patch)
+            patch.setattr(frames, "open", full_disk, raising=False)
+            with pytest.raises(OSError, match="No space left"):
+                save_frame(random_frame(3, 7, "complex", seed=1), path)
+        assert list(folder.iterdir()) == []
+        assert len(built) == (writer == "table")
 
 
 def test_save_frame_extra_keys_match_json_dumps(tmp_path):
@@ -1040,6 +1160,64 @@ def test_stale_sidecar_gives_the_parser_error(tmp_path):
     edited_in_place(path, b"1.0", b"2.0")
     with pytest.raises(ValueError, match="column norms"):
         frames.read_frame(path)
+
+
+def tampered_sidecar(tmp_path, old: bytes, new: bytes, at_end=False):
+    """A saved simplex m = 2 frame whose sidecar has its first old (or, with
+    at_end, its last bytes, which must be old) replaced by new."""
+    path = tmp_path / "f.json"
+    save_frame(simplex_etf(2), path, extra={"construction": {"kind": "simplex", "m": 2}})
+    cache = frames._cache_path(path)
+    blob = cache.read_bytes()
+    if at_end:
+        assert blob.endswith(old)
+        blob = blob[:-len(old)] + new
+    else:
+        assert old in blob
+        blob = blob.replace(old, new, 1)
+    cache.write_bytes(blob)
+    return path
+
+
+def test_sidecar_with_a_flipped_sign_bit_gives_the_parser_result(tmp_path):
+    last = frames.simplex_etf(2).entries[-1, -1]
+    assert last < 0  # a sign flip keeps the column's norm, so Frame cannot see it
+    path = tampered_sidecar(tmp_path, struct.pack("<d", last), struct.pack("<d", -last), at_end=True)
+    got = frames.read_frame(path)
+    assert got[0].entries[-1, -1] == last
+    assert_same_read(got, parsed(path))
+
+
+def test_sidecar_with_an_edited_record_gives_the_parser_result(tmp_path):
+    path = tampered_sidecar(tmp_path, b'"simplex"', b'"xsimple"')
+    got = frames.read_frame(path)
+    assert got[1] == {"construction": {"kind": "simplex", "m": 2}}
+    assert_same_read(got, parsed(path))
+
+
+def keyed_sidecar(path, record: bytes, payload: bytes):
+    """A sidecar for the file at path, crafted with the key of its bytes."""
+    digest = hashlib.sha256(path.read_bytes()).digest()
+    after = struct.pack("<Q", len(record)) + record + payload
+    frames._cache_path(path).write_bytes(frames._CACHE_MAGIC + frames._cache_key(digest, (after,)) + after)
+
+
+@pytest.mark.parametrize("record, payload, error", [
+    (b'[1]', b"", None),
+    (b'{"field": "real", "m": 1, "n": 2}', struct.pack("<d", 1.0), None),
+    (b'{"field": "real", "m": true, "n": 1}', struct.pack("<d", 1.0), None),
+    (b'{"field": "real", "m": 1, "n": 1}', struct.pack("<d", float("nan")), "finite"),
+    (b'{"field": "real", "m": 1, "n": 1}', struct.pack("<d", 2.0), "column norms"),
+])
+def test_crafted_sidecar_with_the_key_keeps_the_structural_checks(tmp_path, record, payload, error):
+    path = tmp_path / "f.json"
+    save_frame(Frame("real", np.array([[-1.0]])), path, extra={"note": "a"})
+    keyed_sidecar(path, record, payload)
+    if error is None:
+        assert_same_read(frames.read_frame(path), parsed(path))
+    else:
+        with pytest.raises(ValueError, match=error):
+            frames.read_frame(path)
 
 
 @pytest.mark.parametrize("fail", ["open", "write", "replace"])
