@@ -8,7 +8,8 @@ Conventions
   Usage errors, --help and --version leave main() through argparse's SystemExit.
 - main(argv) parses with the one parser build_parser() builds per process;
   each parse fills a fresh Namespace, so no option leaks between calls.
-- --seed defaults to 0, so an artifact depends only on the command line.
+- --seed defaults to 0, so an artifact depends only on the command line;
+  main() rejects a negative seed before any command runs.
 - Every float is printed with 17 significant digits so identical runs diff
   byte-for-byte.
 - Each artifact embeds its run manifest (command, parameters, seeds, library
@@ -33,7 +34,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import __version__
-from ._checks import within
+from ._checks import integer, within
 from .bounds import VIOLATION, check_theorem
 from .erasure_moments import (
     ErasureModel,
@@ -96,7 +97,8 @@ _ints = _list_of(int)
 
 def _sorted_within(vals, what: str, lo=-math.inf, hi=math.inf) -> list:
     """vals sorted, after checking that every value lies in lo..hi (NaN never
-    does) and that none repeats; -0.0 reads as 0.0."""
+    does) and that none repeats; -0.0 reads as 0.0.  Commands write the result
+    back to args, so that the manifest records a list as the rows use it."""
     vals = sorted(within(v, what, lo, hi) + 0 for v in vals)  # -0.0 + 0 is 0.0
     for a, b in zip(vals, vals[1:]):
         if a == b:
@@ -229,8 +231,8 @@ def cmd_construct(args) -> int:
 
 def cmd_moments(args) -> int:
     frame, _ = load_frame(args.frame)
-    ps = _sorted_within(args.p, "keep probabilities", 0.0, 1.0)
-    ds = _sorted_within(args.d, "moment orders", 1, 64)
+    ps = args.p = _sorted_within(args.p, "keep probabilities", 0.0, 1.0)
+    ds = args.d = _sorted_within(args.d, "moment orders", 1, 64)
     seed = None
     if args.method == "mc":
         if args.trials is None:
@@ -267,8 +269,8 @@ def cmd_moments(args) -> int:
 
 def cmd_bound(args) -> int:
     frame, construction = load_frame(args.frame)
-    ds = _sorted_within(args.d, "bound orders", 2, 4)
-    ps = _sorted_within(args.p, "keep probabilities", 0.0, 1.0)
+    ds = args.d = _sorted_within(args.d, "bound orders", 2, 4)
+    ps = args.p = _sorted_within(args.p, "keep probabilities", 0.0, 1.0)
     man = _manifest(args)
     reports = [check_theorem(frame, p, d, tol=args.tol) for p in ps for d in ds]
     obj = {
@@ -302,7 +304,9 @@ def cmd_manova(args) -> int:
     args.p += 0  # -0.0 reads as 0.0 in the rows and the manifest, as in _sorted_within
     params = ManovaParams(gamma=args.gamma, p=args.p)
     # moment_closed costs grow like d^3; at d = 64 a row takes milliseconds
-    ds = _sorted_within(args.d or [1, 2, 3, 4], "law orders", 1, 64)
+    if args.d is not None:
+        args.d = _sorted_within(args.d, "law orders", 1, 64)
+    ds = args.d or [1, 2, 3, 4]
     if args.grid is not None:
         within(args.grid, "density grid points", 1, math.inf)
     sup = support(params)
@@ -344,7 +348,9 @@ def _sweep_frames(args, seed: int):
     built once at the first frame seed (the seeds only grow from there)."""
     needs, recorded, build = CONSTRUCTIONS[args.family]
     _require(args, needs, f"{args.family} sweep")
-    lists = [_sorted_within(getattr(args, k), f"sweep --{k} values") for k in needs]
+    for k in needs:
+        setattr(args, k, _sorted_within(getattr(args, k), f"sweep --{k} values"))
+    lists = [getattr(args, k) for k in needs]
     cells = [dict(zip(needs, vals)) for vals in itertools.product(*lists)]
     cells = [c for c in cells if "n" not in c or c["n"] >= c["m"]]
     if not cells:
@@ -360,8 +366,8 @@ def _sweep_frames(args, seed: int):
 
 
 def cmd_sweep(args) -> int:
-    ds = _sorted_within(args.d, "sweep orders", 2, 4)
-    ps = _sorted_within(args.p, "keep probabilities", 0.0, 1.0)
+    ds = args.d = _sorted_within(args.d, "sweep orders", 2, 4)
+    ps = args.p = _sorted_within(args.p, "keep probabilities", 0.0, 1.0)
     if args.trials is not None:
         within(args.trials, "KS trials", 1, math.inf)
     within(args.num_seeds, "random frames per (m, n)", 1, math.inf)
@@ -482,6 +488,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if getattr(args, "seed", None) is not None:  # manova has no --seed
+            integer(args.seed, "seed", 0)
         return args.func(args)
     except (ValueError, OSError, MemoryError) as exc:
         # a bare MemoryError has no message

@@ -19,7 +19,6 @@ import csv
 import hashlib
 import itertools
 import json
-import mmap
 import os
 import stat
 import struct
@@ -397,7 +396,6 @@ _KEY_END = struct.calcsize("<8s32s")  # the key covers the sidecar's bytes from 
 _CHUNK = 1 << 16  # bytes of a frame file hashed at a time
 _REPR_WIDTH = 24  # no float64 repr is longer: -2.2250738585072014e-308
 _REPR_CHUNK = 1 << 12  # distinct values formatted at a time
-_MAP_BYTES = 1 << 17  # glibc's first mmap threshold
 
 
 def _char(s: str, idx: int):
@@ -523,30 +521,16 @@ def _write_cache(cache: Path, digest: bytes, record: str, entries: np.ndarray) -
             tmp.unlink(missing_ok=True)
 
 
-def _buffer(size: int, dtype) -> np.ndarray:
-    """An empty 1-D array, from _MAP_BYTES up in an anonymous mapping of its
-    own, unmapped when the array goes.  glibc maps blocks that large only until
-    freeing one raises its threshold, and then carves them from the heap; the
-    sort's buffers carved there changed which later blocks fit, and with it
-    bound-exact's peak RSS, by 3 MB in some runs and not in others."""
-    dtype = np.dtype(dtype)
-    if size * dtype.itemsize < _MAP_BYTES:
-        return np.empty(size, dtype)
-    return np.frombuffer(mmap.mmap(-1, size * dtype.itemsize, flags=mmap.MAP_PRIVATE), dtype, size)
-
-
 def _repeated_bits(bits: np.ndarray) -> np.ndarray | None:
     """The distinct values of the uint64 array bits, sorted (one sort), when at
     most half of its entries are distinct; else None."""
-    ordered, new = _buffer(bits.size, np.uint64), _buffer(bits.size, bool)
-    ordered[:] = bits.ravel()
-    ordered.sort()
+    ordered = np.sort(bits, axis=None)
+    new = np.empty(ordered.size, bool)
     new[:1] = True
     np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
-    count = np.count_nonzero(new)
-    if 2 * count > bits.size:
+    if 2 * np.count_nonzero(new) > bits.size:
         return None
-    return np.compress(new, ordered, out=np.empty(count, np.uint64))
+    return ordered[new]
 
 
 def _repr_table(distinct: np.ndarray) -> np.ndarray:
@@ -560,11 +544,10 @@ def _repr_table(distinct: np.ndarray) -> np.ndarray:
 
 def _row_texts(rows: np.ndarray, row_text: str):
     """The bytes of row_text.format(*map(float.__repr__, row)) for each float64
-    row of rows, each valid until the next is asked for.  When at most half of
-    the entries are distinct, each distinct value is formatted once into a
-    table, and a row is its entries' table cells, each followed by the text
-    after its "{}", with the cells' NUL padding dropped, in buffers made once
-    per save: a row allocates only its two index arrays."""
+    row of rows.  When at most half of the entries are distinct, each distinct
+    value is formatted once into a table; a row is then one join of its
+    entries' table cells (.tolist() drops their NUL padding, and no repr holds
+    a NUL) between the texts around row_text's "{}"s."""
     bits = rows.view(np.uint64)
     distinct = _repeated_bits(bits)
     if distinct is None:
@@ -572,20 +555,14 @@ def _row_texts(rows: np.ndarray, row_text: str):
             yield row_text.format(*map(float.__repr__, row.tolist())).encode()
         return
     table = _repr_table(distinct)
-    start, *after = (part.encode() for part in row_text.split("{}"))
-    cells = np.empty(len(after), [("repr", table.dtype), ("after", f"S{max(map(len, after))}")])
-    cells["after"] = after
-    padded = cells.view(np.uint8)
-    text, kept = np.empty(len(start) + padded.size, np.uint8), np.empty(padded.size, bool)
-    text[:len(start)] = np.frombuffer(start, np.uint8)
-    keys, found = np.empty(len(after), np.uint64), np.empty(len(after), table.dtype)
+    texts = [part.encode() for part in row_text.split("{}")]
+    parts, cells = [b""] * (2 * len(texts) - 1), np.empty(len(texts) - 1, table.dtype)
+    parts[::2] = texts  # the cells go in the odd slots
     for row in bits:
         order = np.argsort(row)  # searchsorted finds sorted keys faster
-        np.take(table, np.searchsorted(distinct, np.take(row, order, out=keys)), out=found)
-        cells["repr"][order] = found
-        end = len(start) + np.count_nonzero(np.not_equal(padded, 0, out=kept))
-        np.compress(kept, padded, out=text[len(start):end])
-        yield text[:end]
+        cells[order] = table[np.searchsorted(distinct, row[order])]
+        parts[1::2] = cells.tolist()
+        yield b"".join(parts)
 
 
 def save_frame(frame: Frame, path: str | Path, extra: dict | None = None) -> None:

@@ -1,6 +1,8 @@
 """tools/bench_pairs.py's summary of alternating parent/change runs."""
 
 import importlib.util
+import json
+import os
 from pathlib import Path
 
 import pytest
@@ -72,3 +74,26 @@ def test_an_unmatched_run_is_left_out_and_the_report_names_each_metric():
     lines = bench_pairs.report(summ)
     assert lines[0].startswith("job_p90_s: 2 [2, 2] -> 1 (-50.0%), change wins 2/2")
     assert lines[1].startswith("ok_frac: ")
+
+
+def test_each_run_reads_no_bytecode_cache_and_writes_none(tmp_path, monkeypatch):
+    seen = []
+
+    def run(argv, cwd, env, **kwargs):
+        prefix = Path(env["PYTHONPYCACHEPREFIX"])
+        seen.append((argv, cwd, env, prefix.is_dir() and not any(prefix.iterdir())))
+        lines = [json.dumps({"info": 1}), json.dumps({"correct": True, "metrics": {}})]
+        return bench_pairs.subprocess.CompletedProcess(argv, 0, "\n".join(lines) + "\n", "")
+
+    monkeypatch.setenv("PYTHONPATH", "elsewhere")
+    monkeypatch.setattr(bench_pairs.subprocess, "run", run)
+    for tree in (tmp_path / "parent", tmp_path / "change"):
+        result = bench_pairs.run_once(tree, "bound-exact", 11, 1.0)
+        assert result == {"info": 1, "correct": True, "metrics": {}}
+    (argv, cwd, env, empty), (_, _, other, _) = seen
+    assert argv[1:] == ["bench/run.py", "--workload", "bound-exact", "--seed", "11",
+                        "--seconds", "1.0", "--trace", "0"]
+    assert cwd == tmp_path / "parent" and empty
+    assert env["PYTHONDONTWRITEBYTECODE"] == "1" and "PYTHONPATH" not in env
+    assert env["PYTHONPYCACHEPREFIX"] != other["PYTHONPYCACHEPREFIX"]  # a directory per run
+    assert not os.path.exists(env["PYTHONPYCACHEPREFIX"])  # and removed after it

@@ -88,11 +88,15 @@ def test_construct_random_byte_deterministic(tmp_path):
     ["construct", "--kind", "random", "--m", "2", "--n", "5"],
     ["sweep", "--family", "random", "--m", "2", "--n", "3", "--p", "0.5", "--d", "2",
      "--trials", "4"],
+    # no draw reads the seed in these, so only main's check can reject it
+    ["construct", "--kind", "simplex", "--m", "2"],
+    ["moments", "--frame", "{f}", "--p", "0.5", "--d", "2"],
+    ["sweep", "--family", "simplex", "--m", "2,3", "--p", "0.5", "--d", "2", "--trials", "5"],
 ])
-def test_negative_seed_exits_2_with_the_house_message(tmp_path, capsys, command):
+def test_negative_seed_exits_2_with_the_house_message(etf_file, tmp_path, capsys, command):
     out = tmp_path / "out"
-    assert main(command + ["--seed", "-1", "--out", str(out)]) == 2
-    assert "seed must be an integer in 0..inf, got -1" in capsys.readouterr().err
+    assert main([a.format(f=etf_file) for a in command] + ["--seed", "-1", "--out", str(out)]) == 2
+    assert capsys.readouterr() == ("", "error: seed must be an integer in 0..inf, got -1\n")
     assert not out.exists()
 
 
@@ -1011,6 +1015,30 @@ def test_a_repeated_list_value_exits_2_and_is_named(etf_file, tmp_path, capsys, 
     assert main([a.format(f=etf_file) for a in argv] + ["--out", str(out)]) == 2
     assert capsys.readouterr().err == f"error: {repeated} more than once\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("spellings", [
+    [["moments", "--frame", "{f}", "--p", "0,0.5", "--d", "1,2"],
+     ["moments", "--frame", "{f}", "--p=-0.0,0.5", "--d", "2,1"],
+     ["moments", "--frame", "{f}", "--p", "0.5,0", "--d", "1,2"]],
+    [["bound", "--frame", "{f}", "--p", "0,0.5", "--d", "2,3"],
+     ["bound", "--frame", "{f}", "--p=-0.0,0.5", "--d", "3,2"],
+     ["bound", "--frame", "{f}", "--p", "0.5,0", "--d", "2,3"]],
+    [["manova", "--gamma", "0.5", "--p", "0.5", "--d", "1,3"],
+     ["manova", "--gamma", "0.5", "--p", "0.5", "--d", "3,1"]],
+    [["sweep", "--family", "simplex", "--m", "2,3", "--p", "0,0.5", "--d", "2,3", "--trials", "5"],
+     ["sweep", "--family", "simplex", "--m", "3,2", "--p=-0.0,0.5", "--d", "3,2", "--trials", "5"],
+     ["sweep", "--family", "simplex", "--m", "2,3", "--p", "0.5,0", "--d", "2,3", "--trials", "5"]],
+    [["sweep", "--family", "random", "--m", "2", "--n", "3,4", "--p", "0,0.5", "--d", "2"],
+     ["sweep", "--family", "random", "--m", "2", "--n", "4,3", "--p=-0.0,0.5", "--d", "2"]],
+], ids=["moments", "bound", "manova", "sweep-simplex", "sweep-random"])
+def test_the_manifest_records_list_options_as_the_rows_use_them(etf_file, tmp_path, spellings):
+    out, texts = tmp_path / "out", []  # the same path, which the manifest names
+    for argv in spellings:
+        assert main([a.format(f=etf_file) for a in argv] + ["--out", str(out)]) == 0
+        texts.append(out.read_bytes())
+    assert texts == texts[:1] * len(spellings)
+    assert b"-0.0" not in texts[0]
 
 
 @pytest.mark.parametrize("method", ["poly", "brute", "mc"])

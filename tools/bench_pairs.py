@@ -32,12 +32,16 @@ SIDES = ("parent", "change")
 
 
 def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One ``bench/run.py --trace 0`` in tree: its result line with its info line."""
-    env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}
-    env.pop("PYTHONPATH", None)  # run.py imports ewb from its own tree's src/
+    """One ``bench/run.py --trace 0`` in tree: its result line with its info line.
+    The run reads and writes no bytecode cache (its own empty
+    PYTHONPYCACHEPREFIX), so both sides compile their sources alike whether or
+    not a tree holds ``__pycache__``."""
     argv = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
             "--seconds", str(seconds), "--trace", "0"]
-    proc = subprocess.run(argv, cwd=tree, env=env, capture_output=True, text=True)
+    with tempfile.TemporaryDirectory(prefix="bench-pycache-") as pycache:
+        env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1", "PYTHONPYCACHEPREFIX": pycache}
+        env.pop("PYTHONPATH", None)  # run.py imports ewb from its own tree's src/
+        proc = subprocess.run(argv, cwd=tree, env=env, capture_output=True, text=True)
     lines = proc.stdout.splitlines()
     if proc.returncode != 0 or len(lines) < 2:
         raise SystemExit(f"error: bench/run.py in {tree} exited {proc.returncode}:\n"
