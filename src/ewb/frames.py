@@ -310,18 +310,18 @@ def _is_prime(q: int) -> bool:
 def harmonic_etf(q: int) -> Frame:
     """Difference-set harmonic ETF with n = q, m = (q+1)/2 for prime q = 3 (mod 4).
 
-    Rows of the q-point unitary DFT indexed by {0} together with the
-    quadratic residues mod q; that index set is a difference set precisely
-    for q = 3 (mod 4), which makes the column correlations equimodular.
+    Rows of the q-point DFT indexed by {0} and the quadratic residues mod q,
+    a difference set precisely for q = 3 (mod 4), so the column correlations
+    are equimodular.  The entries are q roots of unity taken from one table,
+    exp(-2 pi i t / q) / sqrt(m) at t = r k mod q: no column is renormalized.
     """
     q = integer(q, "q")
     if not _is_prime(q) or q % 4 != 3:
         raise ValueError(f"q must be prime with q = 3 (mod 4), got {q}")
-    residues = sorted({(k * k) % q for k in range(1, q)})
-    ent = -2j * np.pi * np.outer([0] + residues, np.arange(q))
-    np.exp(np.divide(ent, q, out=ent), out=ent)  # exp(ent / q) / sqrt(q), in place
-    ent /= np.sqrt(q)
-    return Frame(field=COMPLEX, entries=_normalize_columns(ent))
+    rows = [0] + sorted({(k * k) % q for k in range(1, q)})
+    roots = np.exp(-2j * np.pi * np.arange(q) / q) / np.sqrt(len(rows))
+    # no q whose m x q int64 index array fits in memory can overflow r k
+    return Frame(field=COMPLEX, entries=roots.take(np.outer(rows, np.arange(q, dtype=np.int64)) % q))
 
 
 def repeated_onb(m: int, copies: int = 2) -> Frame:

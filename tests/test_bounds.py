@@ -283,6 +283,16 @@ def test_etf_family_equality_sweep():
                 assert abs(rep.slack) <= 1e-9
 
 
+@pytest.mark.parametrize("q", [131, 251, 503])
+def test_harmonic_etfs_meet_the_bound_to_rounding(q):
+    # renormalized exp(-2 pi i r k / q) entries read 2.1e-12 and 1.6e-13 on h503
+    f = harmonic_etf(q)
+    assert f.invariants.etf_gap <= 1e-16
+    assert f.invariants.utf_residual <= 1e-13
+    ps = np.linspace(0.05, 0.95, 19)
+    assert max(abs(check_theorem(f, p, d).slack) for d in (2, 3, 4) for p in ps) <= 5e-14
+
+
 def test_non_finite_slack_is_never_classified(mercedes_benz, monkeypatch):
     monkeypatch.setattr(bounds, "expected_moment", lambda frame, p, d: float("nan"))
     with pytest.raises(ValueError, match="slack must be finite"):

@@ -235,6 +235,16 @@ def test_shipped_etf_families_classify_as_etf():
         assert is_etf(harmonic_etf(q), tol=1e-8), f"harmonic q={q}"
 
 
+@pytest.mark.parametrize("q", [3, 7, 11, 23, 131])
+def test_harmonic_entries_are_q_roots_of_unity(q):
+    f = harmonic_etf(q)
+    assert np.unique(f.entries).size <= q
+    rows = [0] + sorted({(k * k) % q for k in range(1, q)})
+    unreduced = np.exp(-2j * np.pi * np.outer(rows, np.arange(q)) / q) / np.sqrt(f.m)
+    assert float(np.max(np.abs(f.entries - unreduced))) <= 1e-12
+    assert float(np.max(np.abs(np.linalg.norm(f.entries, axis=0) - 1.0))) <= 1e-14
+
+
 def test_nearest_utf_fixed_point():
     f = harmonic_etf(7)
     res = nearest_utf(f)
@@ -469,7 +479,7 @@ def test_save_frame_bytes_match_json_dumps_on_each_writer_path(tmp_path, monkeyp
 @pytest.mark.parametrize("frame, table", [
     (harmonic_etf(3), True),  # half of the entries distinct
     (harmonic_etf(11), True),
-    (harmonic_etf(23), False),  # 54% distinct
+    (harmonic_etf(23), True),  # 45 distinct floats of 552: entries are q roots of unity
     (simplex_etf(2), False),
     (simplex_etf(24), True),
     (repeated_onb(4, 3), True),
@@ -946,7 +956,7 @@ def test_harmonic_etf_memory_is_a_few_frames():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 3.5 * frame.entries.nbytes  # a fresh array per operation took 5.0
+    assert peak <= 2.5 * frame.entries.nbytes  # exp and renormalize in place took 3.0
 
 
 def symmetrized_gram(ent):
