@@ -134,8 +134,8 @@ def _log_manifest(man: dict) -> None:
 
 
 def _out_stream(path):
-    """--out opened for writing (removed again if the command fails while it
-    writes, so no partial artifact is left), or stdout when --out is unset."""
+    """--out opened for writing (a regular file is removed if the command fails
+    while it writes: no partial artifact), or stdout when --out is unset."""
     if path:
         return writing(path, newline="")
     return nullcontext(sys.stdout)

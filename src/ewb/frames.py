@@ -373,9 +373,9 @@ def nearest_utf(frame: Frame, max_iters: int = 500, tol: float = 1e-9) -> Neares
 # row-major rows, complex entries as [re, im], then the extra keys}, laid out
 # byte for byte as json.dumps(obj, indent=1) + "\n".  Floats are written with
 # float.__repr__ (shortest round-trip), so saved frames reload bit-identically,
-# signed zeros included; a frame whose entries repeat has each distinct value
-# formatted once.  The reader decodes a window of _WINDOW characters and one
-# data row at a time.  CSV is accepted for real frames only (m rows, n columns).
+# signed zeros included; the writer keeps a memo of reprs of at most two rows'
+# values (_row_texts).  The reader decodes a window of _WINDOW characters and
+# one data row at a time.  CSV is accepted for real frames only (m rows, n columns).
 #
 # Beside a JSON frame file in a regular file, save_frame writes the sidecar
 # <file>.ewbcache, a cache of what reading the file gives: _CACHE_HEAD (magic,
@@ -394,8 +394,6 @@ _WINDOW = 1 << 17  # characters of a frame file decoded at a time
 _CACHE_HEAD, _CACHE_MAGIC = struct.Struct("<8s32sQ"), b"ewbframe"
 _KEY_END = struct.calcsize("<8s32s")  # the key covers the sidecar's bytes from here on
 _CHUNK = 1 << 16  # bytes of a frame file hashed at a time
-_REPR_WIDTH = 24  # no float64 repr is longer: -2.2250738585072014e-308
-_REPR_CHUNK = 1 << 12  # distinct values formatted at a time
 
 
 def _char(s: str, idx: int):
@@ -480,14 +478,17 @@ def _decode_frame_json(fh) -> dict:
 @contextmanager
 def writing(path: str | Path, mode: str = "w", newline: str | None = None):
     """path opened for writing (text unless mode says "wb"); an exception inside
-    the block removes the file before it propagates, so a write that does not
-    finish leaves no file."""
+    the block removes path before it propagates if it is a regular file, so a
+    write that does not finish leaves no file, and a symlink, device or pipe
+    (/dev/stdout) stays."""
     fh = open(path, mode, newline=newline)
     try:
         with fh:
             yield fh
     except BaseException:
-        Path(path).unlink(missing_ok=True)
+        with suppress(FileNotFoundError):
+            if stat.S_ISREG(os.lstat(path).st_mode):
+                os.unlink(path)
         raise
 
 
@@ -521,48 +522,26 @@ def _write_cache(cache: Path, digest: bytes, record: str, entries: np.ndarray) -
             tmp.unlink(missing_ok=True)
 
 
-def _repeated_bits(bits: np.ndarray) -> np.ndarray | None:
-    """The distinct values of the uint64 array bits, sorted (one sort), when at
-    most half of its entries are distinct; else None."""
-    ordered = np.sort(bits, axis=None)
-    new = np.empty(ordered.size, bool)
-    new[:1] = True
-    np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
-    if 2 * np.count_nonzero(new) > bits.size:
-        return None
-    return ordered[new]
-
-
-def _repr_table(distinct: np.ndarray) -> np.ndarray:
-    """float.__repr__ of each float64 bit pattern in distinct (uint64), as ASCII
-    NUL-padded to _REPR_WIDTH bytes; formatted _REPR_CHUNK values at a time."""
-    table, floats = np.empty(distinct.size, f"S{_REPR_WIDTH}"), distinct.view(np.float64)
-    for i in range(0, table.size, _REPR_CHUNK):
-        table[i:i + _REPR_CHUNK] = list(map(float.__repr__, floats[i:i + _REPR_CHUNK].tolist()))
-    return table
-
-
 def _row_texts(rows: np.ndarray, row_text: str):
     """The bytes of row_text.format(*map(float.__repr__, row)) for each float64
-    row of rows.  When at most half of the entries are distinct, each distinct
-    value is formatted once into a table; a row is then one join of its
-    entries' table cells (.tolist() drops their NUL padding, and no repr holds
-    a NUL) between the texts around row_text's "{}"s."""
-    bits = rows.view(np.uint64)
-    distinct = _repeated_bits(bits)
-    if distinct is None:
-        for row in rows:
-            yield row_text.format(*map(float.__repr__, row.tolist())).encode()
-        return
-    table = _repr_table(distinct)
-    texts = [part.encode() for part in row_text.split("{}")]
-    parts, cells = [b""] * (2 * len(texts) - 1), np.empty(len(texts) - 1, table.dtype)
-    parts[::2] = texts  # the cells go in the odd slots
-    for row in bits:
-        order = np.argsort(row)  # searchsorted finds sorted keys faster
-        cells[order] = table[np.searchsorted(distinct, row[order])]
-        parts[1::2] = cells.tolist()
-        yield b"".join(parts)
+    row of rows, as one join of the texts around row_text's "{}"s and the
+    entries' reprs.  A memo maps float64 bits to their repr; a row that misses
+    first empties it if it holds more values than a row, then formats only its
+    own missing distinct values, so the memo never holds more than two rows'."""
+    texts = row_text.split("{}")
+    parts, memo = [""] * (2 * len(texts) - 1), {}
+    parts[::2] = texts  # the reprs go in the odd slots
+    for row in rows:
+        bits = row.view(np.uint64).tolist()
+        try:
+            parts[1::2] = map(memo.__getitem__, bits)
+        except KeyError:
+            if len(memo) > len(bits):
+                memo.clear()
+            missing = {b: x for b, x in zip(bits, row.tolist()) if b not in memo}
+            memo.update(zip(missing, map(float.__repr__, missing.values())))
+            parts[1::2] = map(memo.__getitem__, bits)
+        yield "".join(parts).encode()
 
 
 def save_frame(frame: Frame, path: str | Path, extra: dict | None = None) -> None:

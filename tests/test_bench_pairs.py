@@ -2,7 +2,8 @@
 
 import importlib.util
 import json
-import os
+import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -76,24 +77,39 @@ def test_an_unmatched_run_is_left_out_and_the_report_names_each_metric():
     assert lines[1].startswith("ok_frac: ")
 
 
-def test_each_run_reads_no_bytecode_cache_and_writes_none(tmp_path, monkeypatch):
-    seen = []
+def test_each_side_warms_its_own_bytecode_prefix_before_its_timed_runs(tmp_path, monkeypatch, capsys):
+    """main with git archive and bench/run.py stubbed: one untimed run per side
+    writes bytecode into that side's prefix, and every timed run of the side
+    reads the warmed prefix and writes none."""
+    calls = []
+    metrics = json.loads((TOOL.parent.parent / "BENCHMARK.json").read_text())["end_to_end"]
+    result = {"correct": True, "metrics": {m["name"]: {"value": 1.0} for m in metrics}}
 
     def run(argv, cwd, env, **kwargs):
-        prefix = Path(env["PYTHONPYCACHEPREFIX"])
-        seen.append((argv, cwd, env, prefix.is_dir() and not any(prefix.iterdir())))
-        lines = [json.dumps({"info": 1}), json.dumps({"correct": True, "metrics": {}})]
+        prefix, warm = Path(env["PYTHONPYCACHEPREFIX"]), "PYTHONDONTWRITEBYTECODE" not in env
+        calls.append((argv, cwd, prefix, warm, "PYTHONPATH" in env, prefix.is_dir()))
+        if warm:  # a warm run compiles into the prefix
+            prefix.mkdir()
+            (prefix / "module.pyc").write_bytes(b"")
+        lines = [json.dumps({"info": 1}), json.dumps(result)]
         return bench_pairs.subprocess.CompletedProcess(argv, 0, "\n".join(lines) + "\n", "")
 
+    archive = types.SimpleNamespace(extract=lambda ref, dest: None)  # git archive, stubbed
+    monkeypatch.setitem(sys.modules, "byte_check", archive)
     monkeypatch.setenv("PYTHONPATH", "elsewhere")
+    monkeypatch.delenv("PYTHONDONTWRITEBYTECODE", raising=False)
     monkeypatch.setattr(bench_pairs.subprocess, "run", run)
-    for tree in (tmp_path / "parent", tmp_path / "change"):
-        result = bench_pairs.run_once(tree, "bound-exact", 11, 1.0)
-        assert result == {"info": 1, "correct": True, "metrics": {}}
-    (argv, cwd, env, empty), (_, _, other, _) = seen
-    assert argv[1:] == ["bench/run.py", "--workload", "bound-exact", "--seed", "11",
-                        "--seconds", "1.0", "--trace", "0"]
-    assert cwd == tmp_path / "parent" and empty
-    assert env["PYTHONDONTWRITEBYTECODE"] == "1" and "PYTHONPATH" not in env
-    assert env["PYTHONPYCACHEPREFIX"] != other["PYTHONPYCACHEPREFIX"]  # a directory per run
-    assert not os.path.exists(env["PYTHONPYCACHEPREFIX"])  # and removed after it
+    argv = ["HEAD", "--workload", "bound-exact", "--seed", "11", "--pairs", "2", "--seconds", "1"]
+    assert bench_pairs.main(argv) == 0
+    assert [argv[1:] for argv, *_ in calls] == [["bench/run.py", "--workload", "bound-exact", "--seed",
+                                                 "11", "--seconds", "1.0", "--trace", "0"]] * 6
+    assert not any(pythonpath for *_, pythonpath, _ in calls)
+    (_, parent_tree, parent, warm, _, existed), (_, change_tree, change, *rest) = calls[:2]
+    assert warm and not existed and rest[0] and not rest[2]  # warm runs fill new prefixes
+    assert parent_tree.name == "parent" and change_tree == bench_pairs.ROOT and parent != change
+    # pair 1 runs the parent first, pair 2 the change; each reads its own warmed prefix
+    timed = [(cwd, prefix, warm, existed) for _, cwd, prefix, warm, _, existed in calls[2:]]
+    assert timed == [(parent_tree, parent, False, True), (change_tree, change, False, True),
+                     (change_tree, change, False, True), (parent_tree, parent, False, True)]
+    assert not parent.exists() and not change.exists()  # removed with the temporary tree
+    assert "claim" in capsys.readouterr().out

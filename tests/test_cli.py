@@ -3,8 +3,8 @@ import gc
 import json
 import os
 import shlex
-import tracemalloc
 import warnings
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +14,8 @@ from numpy.testing import assert_allclose
 from ewb import bounds, cli, erasure_moments, frames, load_frame, spectral
 from ewb.bounds import BoundReport
 from ewb.cli import SWEEP_FAMILIES, _sweep_frames, build_parser, main
+
+from conftest import peak_bytes
 
 
 def read_csv(path):
@@ -627,12 +629,7 @@ def test_sweep_walks_a_huge_seed_count_lazily():
                                           "--p", "0.5", "--d", "2", "--num-seeds", str(num_seeds)])
         return next(iter(_sweep_frames(args, 7)))
 
-    tracemalloc.start()
-    try:
-        first(10**6)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = peak_bytes(first, 10**6)
     # lists of the seeds and of the grid took about 100 MB here, and would grow
     # without bound below, so this bound is checked first
     assert peak < 1 << 20
@@ -645,12 +642,11 @@ def sweep_peak(tmp_path, num_seeds):
     argv = ["sweep", "--family", "random", "--m", "2,3", "--n", "6", "--p",
             "0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9", "--d", "2,3,4",
             "--num-seeds", str(num_seeds), "--seed", "1", "--out", str(out)]
-    tracemalloc.start()
-    try:
+
+    def run():
         assert main(argv) == 0
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+
+    peak = peak_bytes(run)
     assert len(read_csv(str(out))[1]) == 1 + 2 * num_seeds * 27
     return peak
 
@@ -1069,6 +1065,37 @@ def test_construct_to_a_special_file_writes_no_sidecar(tmp_path):
     out.symlink_to(os.devnull)
     assert main(["construct", "--kind", "harmonic", "--q", "7", "--out", str(out)]) == 0
     assert list(tmp_path.iterdir()) == [out]
+
+
+def test_a_write_that_fails_through_a_symlink_leaves_the_symlink(tmp_path, monkeypatch, capsys):
+    # --out /dev/stdout piped into `head -c1` fails with BrokenPipeError; only
+    # a regular file is removed, so a symlink (or device) stays
+    out = tmp_path / "null.json"
+    out.symlink_to(os.devnull)
+
+    def broken_pipe(*args):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(frames, "_row_texts", broken_pipe)
+        with pytest.raises(BrokenPipeError):
+            frames.save_frame(frames.harmonic_etf(7), out)
+    assert out.is_symlink()
+    etf = tmp_path / "etf.json"
+    frames.save_frame(frames.harmonic_etf(7), etf)
+
+    class BrokenPipe:
+        write = broken_pipe
+
+    @contextmanager
+    def writing(path, **kwargs):
+        with frames.writing(path, **kwargs):
+            yield BrokenPipe()
+
+    monkeypatch.setattr(cli, "writing", writing)
+    assert main(["bound", "--frame", str(etf), "--p", "0.5", "--d", "2", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: [Errno 32] Broken pipe\n"
+    assert out.is_symlink()
 
 
 def test_commands_give_the_same_bytes_with_and_without_the_sidecar(tmp_path, capsys, monkeypatch):

@@ -31,6 +31,8 @@ from ewb import (
     trace_moment,
 )
 
+from conftest import peak_bytes
+
 
 def identity_frame(n):
     return Frame(field="real", entries=np.eye(n))
@@ -421,11 +423,7 @@ def test_monte_carlo_pass_runs_in_18_blocks_and_allocates_nothing_per_block(monk
             yield ops
 
     monkeypatch.setattr(erasure_moments, "erased_operators", recording)
-    tracemalloc.start()
-    try:
-        montecarlo_moment(f, ErasureModel(p=0.5, seed=1), 4, 2048)
-    finally:
-        tracemalloc.stop()
+    peak_bytes(montecarlo_moment, f, ErasureModel(p=0.5, seed=1), 4, 2048)
     assert len(held) == 18
     assert max(spikes[2:]) < 4096
     # what a block keeps: the list entries above, nothing of its own
@@ -434,12 +432,7 @@ def test_monte_carlo_pass_runs_in_18_blocks_and_allocates_nothing_per_block(monk
 
 def _mc_peak(frame, d, trials):
     montecarlo_moment(frame, ErasureModel(p=0.5, seed=5), d, trials)  # warm numpy's caches
-    tracemalloc.start()
-    try:
-        montecarlo_moment(frame, ErasureModel(p=0.5, seed=5), d, trials)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    return peak_bytes(montecarlo_moment, frame, ErasureModel(p=0.5, seed=5), d, trials)
 
 
 def test_montecarlo_peak_grows_only_with_the_masks_and_the_output():

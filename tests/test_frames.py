@@ -4,7 +4,6 @@ import hashlib
 import json
 import os
 import struct
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -30,6 +29,8 @@ from ewb import (
 )
 from ewb import frames
 from ewb.frames import trace_powers
+
+from conftest import peak_bytes
 
 
 def test_frame_rejects_non_unit_columns():
@@ -316,13 +317,8 @@ def test_csv_frame_has_the_bits_of_float_in_bounded_memory(tmp_path):
     np.savetxt(path, ent / np.linalg.norm(ent, axis=0), delimiter=",", fmt="%.17g")
     got, extra = frames.read_frame(path)
     assert got.entries.tobytes() == csv_reference(path).tobytes() and extra == {}
-    tracemalloc.start()
-    try:
-        frames.read_frame(path)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 2.5 * got.entries.nbytes  # a list of lists of Python floats took 6.1x
+    # a list of lists of Python floats took 6.1x
+    assert peak_bytes(frames.read_frame, path) <= 2.5 * got.entries.nbytes
 
 
 @pytest.mark.parametrize("text", ["1,0\n0\n", "", "\n\n", "1,x\n0,1\n", "1,\n0,1\n"],
@@ -418,27 +414,6 @@ def test_save_frame_small_and_signed_zero_frames(tmp_path, field, entries):
     assert_saved_as_json_dumps(Frame(field=field, entries=np.array(entries)), tmp_path / "f.json")
 
 
-def tables_built(monkeypatch):
-    """The sizes of the repr tables that save_frame builds from now on."""
-    built, build = [], frames._repr_table
-
-    def spying(distinct):
-        built.append(distinct.size)
-        return build(distinct)
-
-    monkeypatch.setattr(frames, "_repr_table", spying)
-    return built
-
-
-def take_writer_path(monkeypatch, writer):
-    """save_frame from now on writes every frame by the table ("table"), by
-    per-row repr ("repr") or by the path its entries choose ("chosen")."""
-    if writer == "table":
-        monkeypatch.setattr(frames, "_repeated_bits", np.unique)
-    elif writer == "repr":
-        monkeypatch.setattr(frames, "_repeated_bits", lambda bits: None)
-
-
 def special_entries_frame(field):
     """Entries whose repr is longest, shortest, signed zero or at the switch
     between positional and exponent notation, with their negatives."""
@@ -465,57 +440,52 @@ SAVED_FRAMES = {
 }
 
 
-@pytest.mark.parametrize("writer", ["chosen", "table", "repr"])
+def rows_texts_memos(rows):
+    """_row_texts over float64 rows (the reprs, space separated): each row, its
+    text, and a copy of the memo right after it."""
+    texts = frames._row_texts(rows, " ".join(["{}"] * rows.shape[1]))
+    for row, text in zip(rows, texts):
+        yield row, text, dict(texts.gi_frame.f_locals["memo"])
+
+
+@pytest.mark.parametrize("check", ["chosen", "table", "repr"])
 @pytest.mark.parametrize("name", sorted(SAVED_FRAMES))
-def test_save_frame_bytes_match_json_dumps_on_each_writer_path(tmp_path, monkeypatch, name, writer):
-    take_writer_path(monkeypatch, writer)
-    built = tables_built(monkeypatch)
+def test_save_frame_bytes_match_json_dumps_on_each_writer_path(tmp_path, name, check):
+    """The one row writer on each frame: the saved file against json.dumps
+    ("chosen"), each row against float.__repr__ of its entries ("repr"), and
+    the memo ("table"), which maps each row's bits to their reprs and never
+    holds more than two rows' values; a simplex frame's rows each add new
+    values, so from m = 5 on its memo is emptied."""
     frame = SAVED_FRAMES[name]()
-    assert_saved_as_json_dumps(frame, tmp_path / "f.json", extra={"construction": {"kind": name}})
-    if writer != "chosen":
-        assert len(built) == (writer == "table")
+    rows = frame.entries.view(np.float64)
+    if check == "chosen":
+        assert_saved_as_json_dumps(frame, tmp_path / "f.json", extra={"construction": {"kind": name}})
+    elif check == "repr":
+        for row, text, _ in rows_texts_memos(rows):
+            assert text == " ".join(map(float.__repr__, row.tolist())).encode()
+    else:
+        sizes = []
+        for row, _, memo in rows_texts_memos(rows):
+            assert all(memo[b] == repr(x) for b, x in zip(row.view(np.uint64).tolist(), row.tolist()))
+            sizes.append(len(memo))
+        assert max(sizes) <= 2 * rows.shape[1]
+        emptied = any(later < size for size, later in zip(sizes, sizes[1:]))
+        assert emptied == (name in ("simplex m = 5", "simplex m = 12", "simplex m = 24"))
 
 
-@pytest.mark.parametrize("frame, table", [
-    (harmonic_etf(3), True),  # half of the entries distinct
-    (harmonic_etf(11), True),
-    (harmonic_etf(23), True),  # 45 distinct floats of 552: entries are q roots of unity
-    (simplex_etf(2), False),
-    (simplex_etf(24), True),
-    (repeated_onb(4, 3), True),
-    (random_frame(8, 40, "real", seed=1), False),
-    (random_frame(16, 64, "complex", seed=2), False),
-    (nearest_utf(random_frame(4, 10, "complex", seed=3)).frame, False),
-])
-def test_save_frame_formats_a_table_when_at_most_half_of_the_entries_are_distinct(
-        tmp_path, monkeypatch, frame, table):
-    built = tables_built(monkeypatch)
-    save_frame(frame, tmp_path / "f.json")
-    floats = frame.entries.view(np.float64).size
-    distinct = np.unique(frame.entries.view(np.float64).view(np.uint64)).size
-    assert (2 * distinct <= floats) == table
-    assert built == ([distinct] if table else [])
-
-
-def save_peak(path, q):
-    """The tracemalloc peak of save_frame on the harmonic ETF of order q, over
-    a save that replaces an earlier one (and its sidecar)."""
-    frame = harmonic_etf(q)
+@pytest.mark.parametrize("make, bound", [
+    (lambda: harmonic_etf(251), 0.25),
+    (lambda: harmonic_etf(503), 0.25),
+    # the sort and table of its distinct values took 1.12x the file
+    (lambda: Frame("real", np.hstack([random_frame(100, 200, "real", seed=3).entries] * 2)), 0.5),
+    (lambda: random_frame(64, 400, "complex", seed=4), 0.5),
+], ids=["251", "503", "real duplicated columns 100 x 400", "random complex 64 x 400"])
+def test_save_frame_memory_is_below_the_file_size(tmp_path, make, bound):
+    """The tracemalloc peak of a save that replaces an earlier one (and its
+    sidecar): a row's bits, reprs and text, and a memo of at most two rows' values."""
+    frame, path = make(), tmp_path / "f.json"
     save_frame(frame, path)
-    tracemalloc.start()
-    try:
-        save_frame(frame, path)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
-@pytest.mark.parametrize("q", [251, 503])
-def test_save_frame_memory_is_below_the_file_size(tmp_path, monkeypatch, q):
-    path, built = tmp_path / f"h{q}.json", tables_built(monkeypatch)
-    # the sorted bits and a mask, then the table of distinct reprs
-    assert save_peak(path, q) <= 0.75 * path.stat().st_size
-    assert len(built) == 2
+    assert peak_bytes(save_frame, frame, path) <= bound * path.stat().st_size
 
 
 def test_save_frame_that_fails_mid_write_leaves_no_file(tmp_path, monkeypatch):
@@ -533,19 +503,12 @@ def test_save_frame_that_fails_mid_write_leaves_no_file(tmp_path, monkeypatch):
         fh.write = write
         return fh
 
-    for writer in ("table", "repr"):
-        folder = tmp_path / writer
-        folder.mkdir()
-        path = folder / "f.json"
-        save_frame(random_frame(3, 7, "complex", seed=0), path)  # an earlier save and its sidecar
-        with monkeypatch.context() as patch:
-            take_writer_path(patch, writer)
-            built = tables_built(patch)
-            patch.setattr(frames, "open", full_disk, raising=False)
-            with pytest.raises(OSError, match="No space left"):
-                save_frame(random_frame(3, 7, "complex", seed=1), path)
-        assert list(folder.iterdir()) == []
-        assert len(built) == (writer == "table")
+    path = tmp_path / "f.json"
+    save_frame(random_frame(3, 7, "complex", seed=0), path)  # an earlier save and its sidecar
+    monkeypatch.setattr(frames, "open", full_disk, raising=False)
+    with pytest.raises(OSError, match="No space left"):
+        save_frame(random_frame(3, 7, "complex", seed=1), path)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_save_frame_extra_keys_match_json_dumps(tmp_path):
@@ -894,12 +857,7 @@ def read_frame_peak(path, q, sidecar):
     if not sidecar:
         frames._cache_path(path).unlink()
     frames.read_frame(path)
-    tracemalloc.start()
-    try:
-        frames.read_frame(path)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    return peak_bytes(frames.read_frame, path)
 
 
 def test_read_frame_memory_is_bounded_by_the_text(tmp_path):
@@ -926,37 +884,22 @@ def test_sidecar_read_memory_of_a_larger_file_is_below_its_size(tmp_path):
 def test_frame_invariants_memory_is_a_few_grams():
     frame = harmonic_etf(131)
     frames.frame_invariants(frame)
-    tracemalloc.start()
-    try:
-        frames.frame_invariants(frame)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 1.6 * 131 * 131 * 16  # a stored Gram and |G|^2 beside it took 2.3
+    # a stored Gram and |G|^2 beside it took 2.3
+    assert peak_bytes(frames.frame_invariants, frame) <= 1.6 * 131 * 131 * 16
 
 
 @pytest.mark.parametrize("field", ["real", "complex"])
 def test_frame_invariants_memory_is_one_float_buffer(field):
     frame = random_frame(16, 1000, field, seed=5)
     frames.frame_invariants(frame)
-    tracemalloc.start()
-    try:
-        frames.frame_invariants(frame)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 0.75 * 1000 * 1000 * 16  # with a stored Gram: 1.56 (real), 2.06 (complex)
+    # with a stored Gram: 1.56 (real), 2.06 (complex)
+    assert peak_bytes(frames.frame_invariants, frame) <= 0.75 * 1000 * 1000 * 16
 
 
 def test_harmonic_etf_memory_is_a_few_frames():
-    harmonic_etf(131)
-    tracemalloc.start()
-    try:
-        frame = harmonic_etf(131)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 2.5 * frame.entries.nbytes  # exp and renormalize in place took 3.0
+    frame = harmonic_etf(131)
+    # exp and renormalize in place took 3.0
+    assert peak_bytes(harmonic_etf, 131) <= 2.5 * frame.entries.nbytes
 
 
 def symmetrized_gram(ent):

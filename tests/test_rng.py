@@ -1,5 +1,4 @@
 import re
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ewb import keep_masks, make_rng, random_frame, rng
+
+from conftest import peak_bytes
 
 
 @settings(max_examples=50, deadline=None)
@@ -42,14 +43,9 @@ def test_blocked_masks_equal_one_draw_of_all_rows(blocks, extra):
 
 
 def test_keep_masks_peak_memory_is_bounded_by_its_output():
-    tracemalloc.start()
-    try:
-        masks = keep_masks(5, 200_000, 64, 0.5)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert masks.nbytes == 200_000 * 64
-    assert peak < 2 * masks.nbytes
+    peak = peak_bytes(keep_masks, 5, 200_000, 64, 0.5)
+    assert keep_masks(5, 200_000, 64, 0.5).nbytes == 200_000 * 64
+    assert peak < 2 * 200_000 * 64
 
 
 @pytest.mark.parametrize("seed", [2.7, 9.9, float("nan"), float("inf"), -1, True])

@@ -30,6 +30,8 @@ from ewb import (
     support,
 )
 
+from conftest import peak_bytes
+
 
 def test_eigenvalues_identity():
     spec = hermitian_eigenvalues(np.eye(3))
@@ -395,11 +397,7 @@ def test_ks_blocks_write_their_checks_into_the_workspace(monkeypatch, field):
             yield stacks
 
     monkeypatch.setattr(spectral, "erased_operators", recording)
-    tracemalloc.start()
-    try:
-        pooled_subset_eigenvalues(f, ErasureModel(p=0.5, seed=1), 1000)
-    finally:
-        tracemalloc.stop()
+    peak_bytes(pooled_subset_eigenvalues, f, ErasureModel(p=0.5, seed=1), 1000)
     assert len(spikes) >= 6
     assert max(spikes[1:]) < stack_bytes[0] / 2
 

@@ -6,11 +6,14 @@
 REF is extracted with ``git archive`` into a temporary directory.  Each pair
 runs the unchanged ``bench/run.py --trace 0`` once in that tree (the parent)
 and once in the working tree (the change), each in a fresh process; odd pairs
-run the parent first, even pairs the change.  For each end-to-end metric of
-``BENCHMARK.json`` it prints both sides' medians, the parent's quartiles, the
-change's pair wins (ties count for neither side; ``better`` gives the
-direction) and whether the claim rule holds: the change wins at least 9 pairs
-in 10 and its median is better by more than the parent's interquartile range.
+run the parent first, even pairs the change.  Each side has its own bytecode
+prefix (``PYTHONPYCACHEPREFIX``), filled by one untimed run of the same
+workload and seed before the pairs, so no timed run compiles what it imports.
+For each end-to-end metric of ``BENCHMARK.json`` it prints both sides'
+medians, the parent's quartiles, the change's pair wins (ties count for
+neither side; ``better`` gives the direction) and whether the claim rule
+holds: the change wins at least 9 pairs in 10 and its median is better by
+more than the parent's interquartile range.
 ``--out`` gets every run's info and result lines and the summary as JSON.
 The exit code is 1 if any run reports ``"correct": false``.
 """
@@ -31,17 +34,18 @@ ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
 
 
-def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+def run_once(tree: Path, workload: str, seed: int, seconds: float, pycache: Path,
+             warm: bool = False) -> dict:
     """One ``bench/run.py --trace 0`` in tree: its result line with its info line.
-    The run reads and writes no bytecode cache (its own empty
-    PYTHONPYCACHEPREFIX), so both sides compile their sources alike whether or
-    not a tree holds ``__pycache__``."""
+    The run reads bytecode from the prefix pycache only, never from a tree's
+    ``__pycache__``, so both sides start alike; only a warm run writes there."""
     argv = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
             "--seconds", str(seconds), "--trace", "0"]
-    with tempfile.TemporaryDirectory(prefix="bench-pycache-") as pycache:
-        env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1", "PYTHONPYCACHEPREFIX": pycache}
-        env.pop("PYTHONPATH", None)  # run.py imports ewb from its own tree's src/
-        proc = subprocess.run(argv, cwd=tree, env=env, capture_output=True, text=True)
+    env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1", "PYTHONPYCACHEPREFIX": str(pycache)}
+    env.pop("PYTHONPATH", None)  # run.py imports ewb from its own tree's src/
+    if warm:
+        del env["PYTHONDONTWRITEBYTECODE"]
+    proc = subprocess.run(argv, cwd=tree, env=env, capture_output=True, text=True)
     lines = proc.stdout.splitlines()
     if proc.returncode != 0 or len(lines) < 2:
         raise SystemExit(f"error: bench/run.py in {tree} exited {proc.returncode}:\n"
@@ -108,10 +112,13 @@ def main(argv=None) -> int:
     runs = []
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
         trees = {"parent": Path(tmp) / "parent", "change": ROOT}
+        caches = {side: Path(tmp) / f"pycache-{side}" for side in SIDES}
         extract(args.ref, trees["parent"])
+        for side in SIDES:  # untimed: fills the side's bytecode prefix
+            run_once(trees[side], args.workload, args.seed, args.seconds, caches[side], warm=True)
         for pair in range(1, args.pairs + 1):
             for side in SIDES if pair % 2 else SIDES[::-1]:
-                result = run_once(trees[side], args.workload, args.seed, args.seconds)
+                result = run_once(trees[side], args.workload, args.seed, args.seconds, caches[side])
                 runs.append({"pair": pair, "commit": side, **result})
                 print(f"pair {pair} {side}: correct={result['correct']} "
                       + " ".join(f"{k}={v['value']:.6g}" for k, v in result["metrics"].items()),
@@ -121,7 +128,8 @@ def main(argv=None) -> int:
     if args.out:
         about = (f"bench/run.py --trace 0 --seconds {args.seconds} in alternating pairs: 'parent' "
                  f"is {args.ref} from git archive, 'change' the working tree; odd pairs run the "
-                 "parent first")
+                 "parent first; each side reads bytecode from its own prefix, filled by one "
+                 "untimed run of the same workload and seed")
         Path(args.out).write_text(json.dumps(
             {"about": about, "workload": args.workload, "seed": args.seed, "seconds": args.seconds,
              "summary": summ, "runs": runs}, indent=1) + "\n")
