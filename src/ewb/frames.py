@@ -112,8 +112,9 @@ class CoherenceReport:
 
 
 def welch_floor(m: int, n: int) -> float:
-    """Classical lower bound on squared rms/max coherence; 0 when n <= 1."""
-    if n <= 1:
+    """Classical lower bound on squared rms/max coherence, n >= m >= 1; 0 at n = 1."""
+    m, n = sizes(m, n)
+    if n == 1:
         return 0.0
     return (n - m) / ((n - 1) * m)
 
@@ -376,6 +377,8 @@ def nearest_utf(frame: Frame, max_iters: int = 500, tol: float = 1e-9) -> Neares
 # signed zeros included; the writer keeps a memo of reprs of at most two rows'
 # values (_row_texts).  The reader decodes a window of _WINDOW characters and
 # one data row at a time.  CSV is accepted for real frames only (m rows, n columns).
+# Every route of read_frame (sidecar, JSON, CSV) gives a record, the top-level keys
+# less "data", and the (m, n) entries; read_frame alone builds the Frame from them.
 #
 # Beside a JSON frame file in a regular file, save_frame writes the sidecar
 # <file>.ewbcache, a cache of what reading the file gives: _CACHE_HEAD (magic,
@@ -426,11 +429,13 @@ def _row(s: str, idx: int):
         return (ValueError(f"frame entries must be finite numbers ({exc})"), sep), end
 
 
-def _decode_frame_json(fh) -> dict:
-    """The top-level object of the frame JSON in the text file fh, read by json's
-    scanner through a window of _WINDOW characters and "data" row by row (_row), so
-    it accepts what json.loads does.  A parse that fails or ends within 2 characters
-    of the window's end (1e+ of 1e+400 reads as 1) is retried on twice the window, to EOF."""
+def _decode_frame_json(fh):
+    """The top-level object of the frame JSON in the text file fh less its "data",
+    and the checked (m, n) entries of "data", stacked once fh is closed.  json's
+    scanner reads it through a window of _WINDOW characters and "data" row by row
+    (_row), so it accepts what json.loads does.  A parse that fails or ends within 2
+    characters of the window's end (1e+ of 1e+400 reads as 1) is retried on twice
+    the window, to EOF."""
     buf, idx, eof = "", 0, False
 
     def take(scan, want=_WINDOW):
@@ -472,7 +477,28 @@ def _decode_frame_json(fh) -> dict:
     obj = dict(items("}", pair))
     if take(_char):
         raise json.JSONDecodeError("Extra data", buf, idx)
-    return obj
+    buf = ""  # the window and the file's buffers go before the rows are stacked
+    fh.close()
+    missing = [k for k in _FRAME_KEYS if k not in obj]
+    if missing:
+        raise ValueError(f"frame JSON is missing the key(s) {', '.join(map(repr, missing))}")
+    field, m, n, rows = obj["field"], obj["m"], obj["n"], obj.pop("data")
+    if field not in (REAL, COMPLEX):
+        raise ValueError(f"unknown field {field!r}")
+    # type(), not isinstance(): JSON true and false load as bool, an int subclass
+    if type(m) is not int or type(n) is not int:
+        raise ValueError(f"frame m and n must be JSON integers, got {m!r} and {n!r}")
+    if not isinstance(rows, list):
+        raise ValueError("frame data must be a list of rows")
+    for row in rows:
+        if isinstance(row, ValueError):
+            raise row
+    if len(rows) != m or any(row.shape != (n, 1 + (field == COMPLEX)) for row in rows):
+        raise ValueError(f"data shape does not match declared (m, n) and {field} entries")
+    raw = np.stack(rows)
+    # a complex entry reinterprets its (re, im) pair in place: re + 1j*im
+    # would turn a -0.0 real part into +0.0
+    return obj, (raw if field == REAL else raw.view(np.complex128))[..., 0]
 
 
 @contextmanager
@@ -590,9 +616,9 @@ def save_frame(frame: Frame, path: str | Path, extra: dict | None = None) -> Non
 
 
 def _cached(fh, path: Path):
-    """read_frame's result from path's sidecar, if fh, the frame file opened, is
-    a regular file, the sidecar is whole and its key is that of the file's
-    bytes and its own; else None, with fh left at its start."""
+    """The sidecar's record and its entries' (m, n) view, if fh, the frame file
+    opened, is a regular file, the sidecar of path is whole and its key is that
+    of the file's bytes and its own; else None, with fh left at its start."""
     if not stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
         return None
     try:
@@ -616,52 +642,27 @@ def _cached(fh, path: Path):
     fh.seek(0)
     if _cache_key(hashed.digest(), (memoryview(blob)[_KEY_END:],)) != key:
         return None
-    extra = {k: v for k, v in obj.items() if k not in _FRAME_KEYS}
-    return Frame(field, np.frombuffer(blob, dtype, offset=start).reshape(shape)), extra
+    return obj, np.frombuffer(blob, dtype, offset=start).reshape(shape)
 
 
 def read_frame(path: str | Path) -> tuple[Frame, dict]:
     """One parse of a frame file: the frame and the file's other top-level keys
     (none for CSV).  Peak memory: a window of the text, then twice the entries.
     A JSON file that save_frame wrote is read from its sidecar instead, while
-    the sidecar's key matches the file and the sidecar; Frame checks those
-    entries too."""
+    the sidecar's key matches the file and the sidecar.  Each route gives a
+    record and the entries, and the one Frame built here checks them all."""
     path = Path(path)
     if path.suffix.lower() == ".csv":
         with open(path, newline="") as fh:
-            rows = [np.fromiter(map(float, r), np.float64, len(r))[:, None] for r in csv.reader(fh) if r]
-        field, obj = REAL, {}
+            entries = np.stack([np.fromiter(map(float, r), float, len(r)) for r in csv.reader(fh) if r])
+        record = {"field": REAL}
     else:
         try:
             with open(path) as fh:  # the encoding and newlines of Path.read_text
-                cached = _cached(fh, path)
-                if cached:
-                    return cached
-                obj = _decode_frame_json(fh)
+                record, entries = _cached(fh, path) or _decode_frame_json(fh)
         except RecursionError:
             raise ValueError("frame JSON nests too deeply") from None
-        missing = [k for k in _FRAME_KEYS if k not in obj]
-        if missing:
-            raise ValueError(f"frame JSON is missing the key(s) {', '.join(map(repr, missing))}")
-        field, m, n, rows = obj["field"], obj["m"], obj["n"], obj.pop("data")
-        if field not in (REAL, COMPLEX):
-            raise ValueError(f"unknown field {field!r}")
-        # type(), not isinstance(): JSON true and false load as bool, an int subclass
-        if type(m) is not int or type(n) is not int:
-            raise ValueError(f"frame m and n must be JSON integers, got {m!r} and {n!r}")
-        if not isinstance(rows, list):
-            raise ValueError("frame data must be a list of rows")
-        for row in rows:
-            if isinstance(row, ValueError):
-                raise row
-        if len(rows) != m or any(row.shape != (n, 1 + (field == COMPLEX)) for row in rows):
-            raise ValueError(f"data shape does not match declared (m, n) and {field} entries")
-    raw = np.stack(rows)
-    del rows  # Frame copies raw: the rows go first
-    # a complex entry reinterprets its (re, im) pair in place: re + 1j*im
-    # would turn a -0.0 real part into +0.0
-    ent = raw if field == REAL else raw.view(np.complex128)
-    return Frame(field, ent[..., 0]), {k: v for k, v in obj.items() if k not in _FRAME_KEYS}
+    return Frame(record["field"], entries), {k: v for k, v in record.items() if k not in _FRAME_KEYS}
 
 
 def load_frame(path: str | Path) -> Frame:

@@ -36,17 +36,14 @@ def keep_masks(seed: int, trials: int, n: int, p: float) -> np.ndarray:
     so the mask of trial i depends only on (seed, i) and not on how many
     trials are requested or in what order they are consumed.  The draws are
     made in blocks of _MASK_BLOCK_ROWS rows; the stream continues across
-    blocks, so the bytes equal those of one draw of all rows.  p = 0 and
-    p = 1 draw nothing (the seed is still checked); any other p outside
-    (0, 1), NaN included, raises ValueError.
+    blocks, so the bytes equal those of one draw of all rows.  Every p in
+    [0, 1] takes that draw: a uniform lies in [0, 1), so p = 0 keeps nothing
+    and p = 1 keeps everything.  A p outside [0, 1], NaN included, raises
+    ValueError, as do trials and n that are not integers >= 1.
     """
-    trials = integer(trials, "trials")
+    trials, n = integer(trials, "trials"), integer(n, "n")
     within(p, "keep probability", 0.0, 1.0)
     rng = make_rng(seed, stream=1)
-    if p == 0.0:
-        return np.zeros((trials, n), dtype=bool)
-    if p == 1.0:
-        return np.ones((trials, n), dtype=bool)
     masks = np.empty((trials, n), dtype=bool)
     for start in range(0, trials, _MASK_BLOCK_ROWS):
         block = masks[start : start + _MASK_BLOCK_ROWS]

@@ -113,3 +113,15 @@ def test_each_side_warms_its_own_bytecode_prefix_before_its_timed_runs(tmp_path,
                      (change_tree, change, False, True), (parent_tree, parent, False, True)]
     assert not parent.exists() and not change.exists()  # removed with the temporary tree
     assert "claim" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("pairs", ["0", "-3"])
+def test_fewer_than_one_pair_is_a_usage_error_before_any_run(pairs, monkeypatch, capsys):
+    ran = []
+    monkeypatch.setattr(bench_pairs, "run_once", lambda *args, **kwargs: ran.append(args))
+    monkeypatch.setitem(sys.modules, "byte_check",
+                        types.SimpleNamespace(extract=lambda ref, dest: ran.append((ref, dest))))
+    with pytest.raises(SystemExit) as exit_:
+        bench_pairs.main(["HEAD", "--workload", "bound-exact", "--seed", "11", "--pairs", pairs])
+    assert exit_.value.code == 2 and ran == []
+    assert f"--pairs must be at least 1, got {pairs}" in capsys.readouterr().err

@@ -3,7 +3,10 @@ import dataclasses
 import hashlib
 import json
 import os
+import re
 import struct
+import threading
+from contextlib import suppress
 
 import numpy as np
 import pytest
@@ -115,6 +118,16 @@ def test_coherence_needs_two_columns():
         coherence(Frame(field="real", entries=np.ones((1, 1))))
     # the floor itself is defined there, and 0
     assert welch_floor(1, 1) == 0.0
+
+
+@pytest.mark.parametrize("m, n, error", [
+    (0, 5, "m must be an integer in 1..inf, got 0"),
+    (5, 3, "need n >= m >= 1, got m=5, n=3"),
+    (2.5, 4, "m must be an integer in 1..inf, got 2.5"),
+])
+def test_welch_floor_checks_the_sizes(m, n, error):
+    with pytest.raises(ValueError, match=re.escape(error)):
+        welch_floor(m, n)
 
 
 def test_is_utf_examples():
@@ -1076,6 +1089,28 @@ def test_sidecar_that_is_not_whole_gives_the_parser_result(tmp_path, monkeypatch
     parses = count_parses(monkeypatch)
     assert_same_read(frames.read_frame(path), want)
     assert parses == [str(path)]
+
+
+def test_a_fifo_beside_a_sidecar_is_parsed(tmp_path, monkeypatch):
+    # a pipe cannot be hashed and then read again from its start
+    path, frame = tmp_path / "f.json", random_frame(3, 5, "complex", seed=1)
+    save_frame(frame, path, extra=SIDECAR_EXTRAS)
+    text = path.read_bytes()
+    path.unlink()
+    os.mkfifo(path)
+    assert frames._cache_path(path).is_file()
+
+    def feed():
+        with suppress(BrokenPipeError), open(path, "wb") as fh:
+            fh.write(text)
+
+    writer = threading.Thread(target=feed, daemon=True)
+    writer.start()
+    parses = count_parses(monkeypatch)
+    got = frames.read_frame(path)
+    writer.join(timeout=10)
+    assert parses == [str(path)]
+    assert got[0].entries.tobytes() == frame.entries.tobytes() and got[1] == SIDECAR_EXTRAS
 
 
 def edited_in_place(path, old: bytes, new: bytes):

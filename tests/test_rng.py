@@ -35,6 +35,12 @@ def test_keep_masks_reject_probability_outside_unit_interval(p):
         keep_masks(0, 2, 3, p)
 
 
+@pytest.mark.parametrize("n", [2.5, True, -1, 0])
+def test_keep_masks_take_n_as_an_integer_from_one(n):
+    with pytest.raises(ValueError, match=re.escape(f"n must be an integer in 1..inf, got {n}")):
+        keep_masks(0, 2, n, 0.5)
+
+
 @pytest.mark.parametrize("blocks, extra", [(0, 1), (1, -1), (1, 0), (1, 1), (2, 0), (7, 105)])
 def test_blocked_masks_equal_one_draw_of_all_rows(blocks, extra):
     trials = blocks * rng._MASK_BLOCK_ROWS + extra
@@ -59,7 +65,7 @@ def test_seeds_and_streams_must_be_integers_from_zero(seed):
         make_rng(0, stream=seed)
     with raises("seed"):
         random_frame(3, 8, seed=seed)
-    for p in (0.0, 0.5, 1.0):  # p = 0 and 1 draw nothing, but still check the seed
+    for p in (0.0, 0.5, 1.0):  # every p, 0 and 1 too, takes the one draw from the seed's stream
         with raises("seed"):
             keep_masks(seed, 4, 9, p)
 
@@ -68,4 +74,5 @@ def test_integral_float_seeds_keep_the_integer_bytes():
     np.testing.assert_array_equal(random_frame(3, 8, seed=2.0).entries,
                                   random_frame(3, 8, seed=2).entries)
     np.testing.assert_array_equal(keep_masks(9.0, 5, 11, 0.3), keep_masks(9, 5, 11, 0.3))
+    np.testing.assert_array_equal(keep_masks(9, 5, 11.0, 0.3), keep_masks(9, 5, 11, 0.3))
     assert make_rng(2**70, stream=3).random() == make_rng(2**70, stream=3.0).random()

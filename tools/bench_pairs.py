@@ -106,6 +106,8 @@ def main(argv=None) -> int:
     ap.add_argument("--seconds", type=float, default=30.0)
     ap.add_argument("--out", help="JSON file for every run and the summary")
     args = ap.parse_args(argv)
+    if args.pairs < 1:  # summary() needs a pair on both sides
+        ap.error(f"--pairs must be at least 1, got {args.pairs}")
     from byte_check import extract  # a sibling script: tools/ is on sys.path when run
 
     metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
