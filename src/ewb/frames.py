@@ -384,11 +384,11 @@ def nearest_utf(frame: Frame, max_iters: int = 500, tol: float = 1e-9) -> Neares
 # <file>.ewbcache, a cache of what reading the file gives: _CACHE_HEAD (magic,
 # the key, the length of the record), the record (the saved object's JSON with
 # "data": null: field, m, n and the extra keys), then the entries as
-# little-endian float64, a complex entry as its (re, im) pair.  The key is the
-# SHA-256 of the file's bytes' SHA-256 and of every sidecar byte after the key.
-# read_frame takes the frame from a whole sidecar only when its key is that of
-# the file and the sidecar, and parses the file otherwise; it never writes, and
-# deleting a sidecar is safe.
+# little-endian float64, a complex entry as its (re, im) pair.  The key is one
+# SHA-256 over the sidecar's bytes after the key, whose end its record fixes, then
+# the file's.  read_frame takes the frame only from a regular-file sidecar that is
+# whole and keyed to itself and the file, and parses the file otherwise; it never
+# writes, and deleting a sidecar is safe.
 # ---------------------------------------------------------------------------
 
 _FRAME_KEYS = ("field", "m", "n", "data")
@@ -427,6 +427,20 @@ def _row(s: str, idx: int):
         return (np.array(values, dtype=np.float64).reshape(-1, 1 + pairs), sep), end
     except OverflowError as exc:
         return (ValueError(f"frame entries must be finite numbers ({exc})"), sep), end
+
+
+def _frame_record(record):
+    """The field, m and n of a frame record, a JSON object whose field is "real" or
+    "complex" and whose m and n are JSON integers >= 1; else ValueError."""
+    if type(record) is not dict:
+        raise ValueError("frame JSON must be an object")
+    field, m, n = record.get("field"), record.get("m"), record.get("n")
+    if field not in (REAL, COMPLEX):
+        raise ValueError(f"unknown field {field!r}")
+    # type(), not isinstance(): JSON true and false load as bool, an int subclass
+    if type(m) is not int or type(n) is not int or m < 1 or n < 1:
+        raise ValueError(f"frame m and n must be JSON integers >= 1, got {m!r} and {n!r}")
+    return field, m, n
 
 
 def _decode_frame_json(fh):
@@ -482,12 +496,8 @@ def _decode_frame_json(fh):
     missing = [k for k in _FRAME_KEYS if k not in obj]
     if missing:
         raise ValueError(f"frame JSON is missing the key(s) {', '.join(map(repr, missing))}")
-    field, m, n, rows = obj["field"], obj["m"], obj["n"], obj.pop("data")
-    if field not in (REAL, COMPLEX):
-        raise ValueError(f"unknown field {field!r}")
-    # type(), not isinstance(): JSON true and false load as bool, an int subclass
-    if type(m) is not int or type(n) is not int:
-        raise ValueError(f"frame m and n must be JSON integers, got {m!r} and {n!r}")
+    field, m, n = _frame_record(obj)
+    rows = obj.pop("data")
     if not isinstance(rows, list):
         raise ValueError("frame data must be a list of rows")
     for row in rows:
@@ -503,10 +513,9 @@ def _decode_frame_json(fh):
 
 @contextmanager
 def writing(path: str | Path, mode: str = "w", newline: str | None = None):
-    """path opened for writing (text unless mode says "wb"); an exception inside
-    the block removes path before it propagates if it is a regular file, so a
-    write that does not finish leaves no file, and a symlink, device or pipe
-    (/dev/stdout) stays."""
+    """path opened for writing in mode; an exception inside the block removes path
+    before it propagates if it is a regular file, so a write that does not finish
+    leaves no file, and a symlink, device or pipe (/dev/stdout) stays."""
     fh = open(path, mode, newline=newline)
     try:
         with fh:
@@ -522,30 +531,17 @@ def _cache_path(path) -> Path:
     return Path(f"{os.fspath(path)}.ewbcache")
 
 
-def _cache_key(digest: bytes, after_key) -> bytes:
-    """The sidecar's key: SHA-256 over digest, the SHA-256 of the frame file's
-    bytes, then each buffer of after_key, the sidecar's bytes after the key."""
-    key = hashlib.sha256(digest)
-    for part in after_key:
-        key.update(part)
-    return key.digest()
-
-
-def _write_cache(cache: Path, digest: bytes, record: str, entries: np.ndarray) -> None:
-    """The sidecar, written whole to a temporary file and renamed onto cache;
-    an OSError leaves no sidecar and is not raised."""
+def _write_cache(cache: Path, key: bytes, body) -> None:
+    """The sidecar, _CACHE_MAGIC, key and the buffers of body, written whole to a
+    temporary file created afresh (a link or pipe at its name is removed first) and
+    renamed onto cache; an OSError leaves no sidecar and is not raised."""
     tmp = Path(f"{cache}.tmp")
-    record = record.encode()
-    entries = np.ascontiguousarray(entries, entries.dtype.newbyteorder("<"))
-    key = _cache_key(digest, (struct.pack("<Q", len(record)), record, entries))
-    try:
-        with open(tmp, "wb") as fh:
-            fh.write(_CACHE_HEAD.pack(_CACHE_MAGIC, key, len(record)) + record)
-            fh.write(entries)
-        os.replace(tmp, cache)
-    except OSError:
-        with suppress(OSError):
-            tmp.unlink(missing_ok=True)
+    with suppress(OSError):
+        tmp.unlink(missing_ok=True)
+        with writing(tmp, "xb") as fh:
+            fh.writelines((_CACHE_MAGIC, key, *body))
+            fh.close()  # the bytes reach the file before its name does
+            os.replace(tmp, cache)
 
 
 def _row_texts(rows: np.ndarray, row_text: str):
@@ -597,14 +593,18 @@ def save_frame(frame: Frame, path: str | Path, extra: dict | None = None) -> Non
     else:
         rows, cell = frame.entries.view(np.float64), "[\n    {},\n    {}\n   ]"
     row_text = "[\n   " + ",\n   ".join([cell] * frame.n) + "\n  ]"
-    cache, digest = _cache_path(path), hashlib.sha256()
+    record = (head + marker + tail).encode()
+    body = (struct.pack("<Q", len(record)) + record,  # the sidecar after its key
+            np.ascontiguousarray(frame.entries, frame.entries.dtype.newbyteorder("<")))
+    cache, key = _cache_path(path), hashlib.sha256(body[0])
+    key.update(body[1])
     with suppress(OSError):  # a sidecar that stays is keyed to the old bytes
         cache.unlink(missing_ok=True)
     with writing(path, "wb") as fh:
 
         def write(text):  # bytes-like; json escapes non-ASCII, so the text is its bytes
             fh.write(text)
-            digest.update(text)
+            key.update(text)
 
         write((head + '\n "data": [').encode())
         for i, text in enumerate(_row_texts(rows, ",\n  " + row_text)):
@@ -612,37 +612,33 @@ def save_frame(frame: Frame, path: str | Path, extra: dict | None = None) -> Non
         write(("\n ]" + tail + "\n").encode())
         regular = stat.S_ISREG(os.fstat(fh.fileno()).st_mode)
     if regular:
-        _write_cache(cache, digest.digest(), head + marker + tail, frame.entries)
+        _write_cache(cache, key.digest(), body)
 
 
 def _cached(fh, path: Path):
-    """The sidecar's record and its entries' (m, n) view, if fh, the frame file
-    opened, is a regular file, the sidecar of path is whole and its key is that
-    of the file's bytes and its own; else None, with fh left at its start."""
-    if not stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
-        return None
+    """The sidecar's record and its entries' (m, n) view, if fh (the frame file) and
+    the sidecar of path (opened without blocking) are regular files and the sidecar
+    is whole and keyed to itself and the file; else None, with fh at its start."""
     try:
-        with open(_cache_path(path), "rb") as cache:
+        with open(os.open(_cache_path(path), os.O_RDONLY | os.O_NONBLOCK), "rb") as cache:
+            if not all(stat.S_ISREG(os.fstat(f.fileno()).st_mode) for f in (fh, cache)):
+                return None
             blob = cache.read()
         magic, key, size = _CACHE_HEAD.unpack_from(blob)
         start = _CACHE_HEAD.size + size
-        obj = json.loads(blob[_CACHE_HEAD.size:start])
+        record = json.loads(blob[_CACHE_HEAD.size:start])
+        field, m, n = _frame_record(record)
+        # a body of another length than the record's m x n entries does not reshape
+        entries = np.frombuffer(blob, "<c16" if field == COMPLEX else "<f8", offset=start).reshape(m, n)
     except (OSError, ValueError, RecursionError, struct.error):
         return None
-    if magic != _CACHE_MAGIC or type(obj) is not dict or obj.get("field") not in (REAL, COMPLEX):
-        return None
-    field, shape = obj["field"], (obj.get("m"), obj.get("n"))
-    dtype = np.dtype("<c16" if field == COMPLEX else "<f8")
-    if (not all(type(k) is int and k > 0 for k in shape)
-            or len(blob) - start != shape[0] * shape[1] * dtype.itemsize):
-        return None
-    hashed = hashlib.sha256()
+    hashed = hashlib.sha256(memoryview(blob)[_KEY_END:])
     while chunk := fh.buffer.read(_CHUNK):
         hashed.update(chunk)
     fh.seek(0)
-    if _cache_key(hashed.digest(), (memoryview(blob)[_KEY_END:],)) != key:
+    if magic != _CACHE_MAGIC or hashed.digest() != key:
         return None
-    return obj, np.frombuffer(blob, dtype, offset=start).reshape(shape)
+    return record, entries
 
 
 def read_frame(path: str | Path) -> tuple[Frame, dict]:

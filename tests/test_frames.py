@@ -1113,6 +1113,55 @@ def test_a_fifo_beside_a_sidecar_is_parsed(tmp_path, monkeypatch):
     assert got[0].entries.tobytes() == frame.entries.tobytes() and got[1] == SIDECAR_EXTRAS
 
 
+def returned(fifo, call, *args):
+    """call(*args) on a daemon thread, which must return within 10 s: a call that
+    blocks on the pipe fifo fails the test, and the pipe is opened and closed from
+    the other side then, so the thread ends instead of hanging the session."""
+    out = []
+    thread = threading.Thread(target=lambda: out.append(call(*args)), daemon=True)
+    thread.start()
+    thread.join(timeout=10)
+    if not out:
+        with suppress(OSError):
+            os.close(os.open(fifo, os.O_RDWR | os.O_NONBLOCK))
+    assert out, f"{call.__name__} did not return"
+    return out[0]
+
+
+def test_a_fifo_sidecar_gives_the_parser_result(tmp_path):
+    path = tmp_path / "f.json"
+    save_frame(random_frame(3, 5, "complex", seed=1), path, extra=SIDECAR_EXTRAS)
+    cache = frames._cache_path(path)
+    cache.unlink()
+    os.mkfifo(cache)
+    assert_same_read(returned(cache, frames.read_frame, path), parsed(path))
+
+
+def test_a_symlink_at_the_sidecars_temporary_name_keeps_its_target(tmp_path, monkeypatch):
+    path, frame, target = tmp_path / "f.json", random_frame(3, 5, "complex", seed=1), tmp_path / "t"
+    target.write_bytes(b"kept")
+    tmp = tmp_path / "f.json.ewbcache.tmp"
+    tmp.symlink_to(target)
+    save_frame(frame, path, extra=SIDECAR_EXTRAS)
+    assert target.read_bytes() == b"kept" and not os.path.lexists(tmp)
+    cache = frames._cache_path(path)
+    assert cache.is_file() and not cache.is_symlink()
+    parses = count_parses(monkeypatch)
+    got = frames.read_frame(path)
+    assert parses == []
+    assert got[0].entries.tobytes() == frame.entries.tobytes() and got[1] == SIDECAR_EXTRAS
+
+
+def test_a_fifo_at_the_sidecars_temporary_name_does_not_block_the_save(tmp_path, monkeypatch):
+    path, frame = tmp_path / "f.json", random_frame(3, 5, "real", seed=1)
+    tmp = tmp_path / "f.json.ewbcache.tmp"
+    os.mkfifo(tmp)
+    returned(tmp, save_frame, frame, path)
+    parses = count_parses(monkeypatch)
+    assert frames.read_frame(path)[0].entries.tobytes() == frame.entries.tobytes()
+    assert parses == [] and sorted(tmp_path.iterdir()) == [path, frames._cache_path(path)]
+
+
 def edited_in_place(path, old: bytes, new: bytes):
     """path with its first old replaced by new, of the same length, and its
     modification time put back."""
@@ -1173,16 +1222,21 @@ def test_sidecar_with_an_edited_record_gives_the_parser_result(tmp_path):
 
 
 def keyed_sidecar(path, record: bytes, payload: bytes):
-    """A sidecar for the file at path, crafted with the key of its bytes."""
-    digest = hashlib.sha256(path.read_bytes()).digest()
+    """A sidecar for the file at path, crafted with the key of its bytes: one
+    SHA-256 over the sidecar's bytes after the key, then the file's."""
     after = struct.pack("<Q", len(record)) + record + payload
-    frames._cache_path(path).write_bytes(frames._CACHE_MAGIC + frames._cache_key(digest, (after,)) + after)
+    key = hashlib.sha256(after + path.read_bytes()).digest()
+    frames._cache_path(path).write_bytes(frames._CACHE_MAGIC + key + after)
 
 
 @pytest.mark.parametrize("record, payload, error", [
     (b'[1]', b"", None),
     (b'{"field": "real", "m": 1, "n": 2}', struct.pack("<d", 1.0), None),
     (b'{"field": "real", "m": true, "n": 1}', struct.pack("<d", 1.0), None),
+    # reshape would take an empty body as (0, 1) and -1 as "whatever fits"
+    (b'{"field": "real", "m": 0, "n": 1}', b"", None),
+    (b'{"field": "real", "m": -1, "n": 1}', struct.pack("<d", 1.0), None),
+    (b'{"field": "real", "m": 1, "n": -1}', struct.pack("<d", 1.0), None),
     (b'{"field": "real", "m": 1, "n": 1}', struct.pack("<d", float("nan")), "finite"),
     (b'{"field": "real", "m": 1, "n": 1}', struct.pack("<d", 2.0), "column norms"),
 ])
