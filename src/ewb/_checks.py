@@ -14,6 +14,11 @@ def within(v, what: str, lo, hi):
     return v
 
 
+def probability(p) -> float:
+    """float(p), after within(p, "keep probability", 0.0, 1.0): no numpy precision leaks."""
+    return float(within(p, "keep probability", 0.0, 1.0))
+
+
 def integer(v, what: str, lo=1, hi=math.inf) -> int:
     """int(v), after checking that v is an integer in lo..hi: NaN, infinities,
     2.5 and True raise ValueError, 2.0 gives 2.  inf % 1 is NaN, so infinities

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from ._checks import integer, sizes, within
+from ._checks import integer, sizes
 from .erasure_moments import expected_moment, trace_moment
 from .frames import Frame, is_etf, is_utf
 from .manova import ManovaParams, delta_correction, moment_closed
@@ -64,9 +64,8 @@ def erasure_welch_bound(m: int, n: int, p: float, d: int) -> float:
     At p = 1 this is (n/m)^(d-1); at n = m it is p for every order.
     """
     m, n = sizes(m, n)
-    within(p, "keep probability", 0.0, 1.0)
     d = integer(d, "bound order", 2, 4)
-    params = ManovaParams(gamma=m / n, p=p)
+    params = ManovaParams(gamma=m / n, p=p)  # checks p
     extra = delta_correction(params, d, n) if n >= 2 else 0.0
     return moment_closed(params, d) + extra
 

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._checks import integer, within
+from ._checks import integer, probability
 from .frames import Frame, gram, trace_powers  # noqa: F401 (bench/tracing.py wraps gram)
 from .rng import keep_masks
 
@@ -52,7 +52,7 @@ class ErasureModel:
     seed: int = 0
 
     def __post_init__(self):
-        within(self.p, "keep probability", 0.0, 1.0)
+        object.__setattr__(self, "p", probability(self.p))
 
 
 @dataclass(frozen=True)
@@ -130,7 +130,7 @@ def moment_polynomial(frame: Frame, d: int) -> MomentPolynomial:
 
 def expected_moment(frame: Frame, p: float, d: int) -> float:
     """m_d at keep probability p, via the exact coefficient polynomial."""
-    within(p, "keep probability", 0.0, 1.0)
+    p = probability(p)
     return moment_polynomial(frame, d).evaluate(p)
 
 
@@ -196,8 +196,7 @@ class BruteforceTable:
 
     def moment(self, p: float, d: int) -> float:
         d = integer(d, "tabulated moment order", 1, self.d_max)
-        within(p, "keep probability", 0.0, 1.0)
-        n = self.n
+        p, n = probability(p), self.n
         terms = [
             p**k * (1.0 - p) ** (n - k) * self.subset_sums[k, d - 1]
             for k in range(n + 1)
@@ -272,6 +271,7 @@ def subset_rms(frame: Frame, p: float) -> float:
 
     At p = 1 this reduces to the full-frame rms_sq from coherence().
     """
+    p = probability(p)
     k = p * frame.n
     if k <= 1.0:
         raise ValueError(f"expected subset size p*n must exceed 1, got {k}")

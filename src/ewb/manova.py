@@ -47,7 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._checks import integer, within
+from ._checks import integer, probability
 
 _NODES = _WEIGHTS = None  # the 20-point Gauss-Legendre rule, built by _refine's first call
 _HALF_PI = math.pi / 2.0
@@ -75,10 +75,11 @@ class ManovaParams:
     p: float
 
     def __post_init__(self):
-        # gamma below about 5.6e-309 overflows x to inf
-        if not (0.0 < self.gamma <= 1.0 and math.isfinite(self.x)):
+        # gamma below about 5.6e-309 overflows 1/gamma, and so x, to inf
+        if not (0.0 < self.gamma <= 1.0 and math.isfinite(1.0 / float(self.gamma))):
             raise ValueError(f"gamma must be in (0, 1] with 1/gamma - 1 finite, got {self.gamma}")
-        within(self.p, "p", 0.0, 1.0)
+        object.__setattr__(self, "gamma", float(self.gamma))
+        object.__setattr__(self, "p", probability(self.p))
 
     @property
     def x(self) -> float:
@@ -122,10 +123,7 @@ def support(params: ManovaParams) -> ManovaSupport:
     else:
         excess = p + g - 1.0
     weight = min(1.0, excess / min(p, g)) if excess > 0.0 else 0.0
-    # 1 - g r+ = (sqrt((1-p)(1-g)) - sqrt(p g))^2 >= 0, so the bulk can touch
-    # the atom location (iff p + g = 1) but never cross it.  Guard anyway.
-    if r_plus > loc * (1.0 + 1e-12):
-        raise ValueError("bulk support exceeds the atom location; invalid parameters")
+    # 1 - g r+ = (sqrt((1-p)(1-g)) - sqrt(p g))^2 >= 0: r+ passes 1/g only by round-off
     has_bulk = 0.0 < p < 1.0 and r_plus - r_minus > _DEGENERATE_WIDTH
     if p == 0.0:
         jumps = ((0.0, 1.0),)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._checks import integer, within
+from ._checks import integer, probability
 
 GENERATOR_NAME = "philox4x64"
 
@@ -42,7 +42,7 @@ def keep_masks(seed: int, trials: int, n: int, p: float) -> np.ndarray:
     ValueError, as do trials and n that are not integers >= 1.
     """
     trials, n = integer(trials, "trials"), integer(n, "n")
-    within(p, "keep probability", 0.0, 1.0)
+    p = probability(p)
     rng = make_rng(seed, stream=1)
     masks = np.empty((trials, n), dtype=bool)
     for start in range(0, trials, _MASK_BLOCK_ROWS):

@@ -71,15 +71,15 @@ def _checked_eigvalsh(stack: np.ndarray, psd: bool, mag=None, diff=None) -> np.n
 def hermitian_eigenvalues(a, psd: bool = False) -> Spectrum:
     """Eigenvalues of a Hermitian matrix, sorted nonincreasing.
 
-    Every call verifies the spectrum against the matrix (an integer or boolean
-    one as float64): sum of eigenvalues vs trace and sum of squares vs squared
+    Every call verifies the spectrum against the matrix as np.result_type(a,
+    np.float64) (an integer, boolean or float32 one as float64, complex64 as
+    complex128): sum of eigenvalues vs trace and sum of squares vs squared
     Frobenius norm, both to 1e-8 relative.  Non-finite entries are rejected.
     With psd=True round-off negatives in [-1e-9, 0) are clamped to 0 and
     anything more negative is rejected (Gram-type inputs are positive semidefinite).
     """
     a = np.asarray(a)
-    if a.dtype.kind not in "fc":
-        a = a.astype(np.float64)
+    a = a.astype(np.result_type(a, np.float64), copy=False)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("square matrix required")
     if a.shape[0] == 0:
@@ -163,5 +163,4 @@ def ks_distance(pooled, params: ManovaParams) -> float:
     ref_lt = ref_le.copy()
     at = np.isin(cand, jumps)
     ref_lt[at] = cdf_many(cand[at], params, left=True)
-    dist = max(float(np.max(np.abs(emp_le - ref_le))), float(np.max(np.abs(emp_lt - ref_lt))))
-    return min(1.0, dist)
+    return max(float(np.max(np.abs(emp_le - ref_le))), float(np.max(np.abs(emp_lt - ref_lt))))

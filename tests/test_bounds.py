@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -271,6 +272,21 @@ def test_violation_report_to_dict_is_asdict():
     rep = BoundReport(2, 3, 0.5, 2, 0.5, 0.625, -0.125, "violation")
     assert rep.to_dict() == dataclasses.asdict(rep)
     assert list(rep.to_dict()) == list(dataclasses.asdict(rep))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float16])
+def test_numpy_keep_probabilities_classify_as_their_float(dtype):
+    # in the scalar's own precision the moment and bound disagree by far more
+    # than tol, which labelled ETFs "violation" and "strict"
+    frames = [harmonic_etf(7), harmonic_etf(11), simplex_etf(5), repeated_onb(3, 2)]
+    for f in frames:
+        for p in np.linspace(0.01, 0.99, 99).astype(dtype):
+            for d in (2, 3, 4):
+                rep = check_theorem(f, p, d)
+                assert rep.equality_class == check_theorem(f, float(p), d).equality_class
+                assert all(type(getattr(rep, k)) is float
+                           for k in ("p", "moment", "bound", "slack"))
+                json.dumps(rep.to_dict())
 
 
 def test_etf_family_equality_sweep():

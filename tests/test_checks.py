@@ -2,12 +2,13 @@ import math
 import pathlib
 import re
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from ewb import _checks
-from ewb._checks import integer, within
+from ewb._checks import integer, probability, within
 
 _LIMITS = st.tuples(st.integers(-5, 5), st.integers(-5, 5)).map(sorted)
 
@@ -21,6 +22,20 @@ def test_within_returns_the_value_or_names_everything(v, limits):
     with pytest.raises(ValueError) as exc:
         within(v, "knob", lo, hi)
     assert str(exc.value) == f"knob must be in {lo}..{hi}, got {v}"
+
+
+@given(st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True), st.integers(-2, 2),
+    st.floats(width=32).map(np.float32), st.floats(width=16).map(np.float16),
+))
+def test_probability_is_within_returning_a_python_float(v):
+    if 0.0 <= v <= 1.0:
+        got = probability(v)
+        assert type(got) is float and got == v
+        return
+    with pytest.raises(ValueError) as exc:
+        probability(v)
+    assert str(exc.value) == f"keep probability must be in 0.0..1.0, got {v}"
 
 
 @given(

@@ -37,20 +37,25 @@ def etf_file(tmp_path):
     return str(path)
 
 
-def test_construct_simplex_stdout_and_file(tmp_path, capsys):
+@pytest.mark.parametrize("kind, m, n", [
+    (["simplex", "--m", "2"], 2, 3),
+    (["random", "--m", "1", "--n", "1"], 1, 1),  # no coherence line: it needs n >= 2
+], ids=["simplex", "single-vector"])
+def test_construct_stdout_and_file(tmp_path, capsys, kind, m, n):
     out = tmp_path / "f.json"
-    code = main(["construct", "--kind", "simplex", "--m", "2", "--out", str(out)])
+    code = main(["construct", "--kind", *kind, "--out", str(out)])
     assert code == 0
-    text = capsys.readouterr().out
-    assert "m=2 n=3 field=real" in text
-    assert "is_utf=True is_etf=True" in text
-    coh = dict(tok.split("=") for tok in text.splitlines()[2].split())
-    assert_allclose([float(coh["rms_sq"]), float(coh["max_sq"])], 0.25, atol=1e-12)
-    assert coh["welch_floor"] == "0.25"
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:2] == [f"m={m} n={n} field=real", "is_utf=True is_etf=True"]
+    assert len(lines) == (3 if n >= 2 else 2)
+    if n >= 2:
+        coh = dict(tok.split("=") for tok in lines[2].split())
+        assert_allclose([float(coh["rms_sq"]), float(coh["max_sq"])], 0.25, atol=1e-12)
+        assert coh["welch_floor"] == "0.25"
     f = load_frame(str(out))
-    assert (f.m, f.n) == (2, 3)
+    assert (f.m, f.n) == (m, n)
     meta = json.loads(out.read_text())
-    assert meta["construction"]["kind"] == "simplex"
+    assert meta["construction"]["kind"] == kind[0]
     assert meta["manifest"]["command"] == "construct"
 
 

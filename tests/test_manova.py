@@ -78,6 +78,26 @@ def test_support_bulk_never_crosses_atom():
             assert 0.0 <= sup.atom_weight <= 1.0
 
 
+def test_support_r_plus_passes_the_atom_location_by_round_off_only():
+    # 1 - gamma r+ is a square, so r+ <= 1/gamma exactly; computed, r+ was
+    # found at most 3 ulps (6.7e-16 relative) above it, at p = 1 - gamma
+    rng = np.random.default_rng(3)
+    gammas = np.concatenate([[5.6e-309, 1.0], 10.0 ** rng.uniform(-308.25, 0.0, 4000)])
+    for g in gammas.tolist():
+        for p in (1.0 - g, rng.uniform(), 0.0, 1.0):
+            sup = support(ManovaParams(gamma=g, p=p))
+            assert sup.r_plus <= sup.atom_location + 4 * np.spacing(sup.atom_location), (g, p)
+
+
+def test_support_of_single_precision_params_with_p_plus_gamma_one():
+    # in float32 r+ rounded past 1/gamma for 23 of these gammas
+    for g in np.linspace(0.05, 0.95, 181).astype(np.float32):
+        params = ManovaParams(gamma=g, p=np.float32(1) - g)
+        sup = support(params)
+        assert sup.r_plus <= sup.atom_location + 4 * np.spacing(sup.atom_location)
+        assert type(params.gamma) is float and type(params.p) is float
+
+
 def test_support_atom_weight_formula():
     sup = support(ManovaParams(gamma=0.6, p=0.7))
     assert_allclose(sup.atom_weight, 0.3 / 0.6, atol=1e-15)

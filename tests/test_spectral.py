@@ -100,6 +100,23 @@ def test_eigenvalues_of_integer_and_boolean_matrices(a, want):
     assert spec.values.tolist() == want
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.complex64, np.float16])
+def test_single_precision_psd_matrices_are_checked_in_double(dtype):
+    # checked in their own precision, the eigenvalue sums of most of these
+    # missed the trace or the Frobenius norm by more than 1e-8 relative, and
+    # np.linalg takes no float16 matrix
+    rng = np.random.default_rng(7)
+    for _ in range(50):
+        x = rng.standard_normal((6, 12))
+        if np.dtype(dtype).kind == "c":
+            x = x + 1j * rng.standard_normal((6, 12))
+        a = (x @ x.conj().T).astype(dtype)
+        a = (a + a.conj().T) / 2  # exactly Hermitian in dtype
+        spec = hermitian_eigenvalues(a, psd=True)
+        wide = a.astype(np.result_type(a, np.float64))
+        assert spec.values.tobytes() == hermitian_eigenvalues(wide, psd=True).values.tobytes()
+
+
 def test_subset_samples_keep_all(mercedes_benz):
     specs = subset_spectrum_samples(mercedes_benz, ErasureModel(p=1.0, seed=0), trials=5)
     assert len(specs) == 5
