@@ -1,5 +1,5 @@
-"""The one range test behind every order, keep probability, count, seed and
-frame size that a public entry point receives, with one message form:
+"""The one range test behind every order, keep probability, subset size, count,
+seed and frame size that a public entry point receives, with one message form:
 "<what> must be in <lo>..<hi>, got <v>" ("an integer in" for integer())."""
 
 from __future__ import annotations
@@ -17,6 +17,13 @@ def within(v, what: str, lo, hi):
 def probability(p) -> float:
     """float(p), after within(p, "keep probability", 0.0, 1.0): no numpy precision leaks."""
     return float(within(p, "keep probability", 0.0, 1.0))
+
+
+def subset_size(k, n: int) -> float:
+    """float(k), after checking 1 < k <= n: the open lower end keeps k - 1 nonzero."""
+    if not 1 < k <= n:
+        raise ValueError(f"expected subset size must be in 1..{n} and exceed 1, got {k}")
+    return float(k)
 
 
 def integer(v, what: str, lo=1, hi=math.inf) -> int:

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from ._checks import integer, sizes
+from ._checks import integer, sizes, subset_size
 from .erasure_moments import expected_moment, trace_moment
 from .frames import Frame, is_etf, is_utf
 from .manova import ManovaParams, delta_correction, moment_closed
@@ -115,9 +115,11 @@ def subset_rms_bound(k: float, m: int, n: int) -> float:
     """(k/m - k/n)/(k - 1): floor for subset_rms at expected subset size k = p n.
 
     At k = n this is the classical Welch floor (n - m)/((n - 1) m); at fixed
-    k and m it increases with n toward k/((k - 1) m).
+    k and m it increases with n toward k/((k - 1) m).  k is used as given:
+    k = np.float32(p) * n is already rounded to float32, which moves the
+    floor of the m = 5 simplex ETF by up to 4e-9 over 70 p in 0.3..0.99 and
+    by 1.6e-6 at p = 0.17.
     """
     m, n = sizes(m, n)
-    if not 1.0 < k <= n:
-        raise ValueError(f"expected subset size must satisfy 1 < k <= n, got {k}")
+    k = subset_size(k, n)
     return (k / m - k / n) / (k - 1.0)

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._checks import integer, probability
+from ._checks import integer, probability, subset_size
 from .frames import Frame, gram, trace_powers  # noqa: F401 (bench/tracing.py wraps gram)
 from .rng import keep_masks
 
@@ -223,10 +223,10 @@ def bruteforce_table(frame: Frame, d_max: int = 4) -> BruteforceTable:
         masks = ((idx[:, None] >> bits[None, :]) & 1).astype(bool)
         vals = _erased_trace_powers(frame, masks, range(1, d_max + 1))
         ks = masks.sum(axis=1)
-        for k in np.unique(ks):
+        for k in range(n + 1):
             sel = ks == k
             for j in range(d_max):
-                partial[int(k)][j].append(math.fsum(vals[j][sel].tolist()))
+                partial[k][j].append(math.fsum(vals[j][sel].tolist()))
     sums = np.array(
         [[math.fsum(partial[k][j]) for j in range(d_max)] for k in range(n + 1)]
     )
@@ -272,8 +272,6 @@ def subset_rms(frame: Frame, p: float) -> float:
     At p = 1 this reduces to the full-frame rms_sq from coherence().
     """
     p = probability(p)
-    k = p * frame.n
-    if k <= 1.0:
-        raise ValueError(f"expected subset size p*n must exceed 1, got {k}")
+    k = subset_size(p * frame.n, frame.n)
     m2 = expected_moment(frame, p, 2)
     return (m2 / p - 1.0) / (k - 1.0)

@@ -64,7 +64,7 @@ class Frame:
                 raise ValueError("real frame with complex entries")
             ent = ent.astype(np.float64, copy=True)
         else:
-            ent = ent.astype(np.complex128, copy=True)
+            ent = ent.astype(np.complex128, order="C", copy=True)
         m, n = ent.shape
         if m < 1 or n < m:
             raise ValueError(f"need n >= m >= 1, got m={m}, n={n}")

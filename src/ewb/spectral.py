@@ -137,30 +137,22 @@ def ks_distance(pooled, params: ManovaParams) -> float:
     """Sup distance between the empirical CDF of pooled eigenvalues and the
     MANOVA(gamma, p) law.
 
-    The reference law may carry point masses (support(params).jumps), so the
-    supremum is also evaluated from the left at each of them.
+    Both CDFs are monotone step/continuous mixtures, so the supremum is
+    attained at a one-sided limit at a jump of either.  Both one-sided CDFs
+    are compared at every pooled value and at 0, r- and the atom, which
+    covers every point mass of the law (support(params).jumps).
     """
     xs = np.array(pooled, dtype=float).reshape(-1)
-    nq = xs.size
-    if nq == 0:
+    if xs.size == 0:
         raise ValueError("empty eigenvalue pool")
     if not np.isfinite(xs).all():
         raise ValueError("eigenvalue pool must be finite")
     sup = support(params)
-    jumps = [loc for loc, _ in sup.jumps]
     # a value within round-off of a jump of the law sits on it
-    for jump in jumps:
+    for jump, _ in sup.jumps:
         xs[np.abs(xs - jump) <= _JUMP_RTOL * np.maximum(1.0, np.abs(xs))] = jump
     xs.sort()
-    # Both CDFs are monotone step/continuous mixtures, so the supremum is
-    # attained at (a one-sided limit of) a jump point of either: the sample
-    # values, the law's atom, and its degenerate-bulk step locations.
-    cand = np.unique(np.concatenate([xs, [0.0, sup.r_minus, sup.atom_location]]))
-    emp_le = np.searchsorted(xs, cand, side="right") / nq
-    emp_lt = np.searchsorted(xs, cand, side="left") / nq
-    # the law's left limit differs from its CDF only at its jumps
-    ref_le = cdf_many(cand, params)
-    ref_lt = ref_le.copy()
-    at = np.isin(cand, jumps)
-    ref_lt[at] = cdf_many(cand[at], params, left=True)
-    return max(float(np.max(np.abs(emp_le - ref_le))), float(np.max(np.abs(emp_lt - ref_lt))))
+    pts = np.concatenate([xs, [0.0, sup.r_minus, sup.atom_location]])
+    le = np.abs(np.searchsorted(xs, pts, side="right") / xs.size - cdf_many(pts, params))
+    lt = np.abs(np.searchsorted(xs, pts, side="left") / xs.size - cdf_many(pts, params, left=True))
+    return float(max(le.max(), lt.max()))

@@ -209,6 +209,12 @@ def test_subset_rms_bound_examples():
     for m, n in [(2, 3), (3, 7), (4, 13)]:
         assert_allclose(subset_rms_bound(n, m, n), welch_floor(m, n), rtol=1e-14)
     assert_allclose(subset_rms_bound(2.0, 2, 3), 1.0 / 3.0, atol=1e-15)
+    # a numpy k is checked once and computed with as a Python float
+    want = subset_rms_bound(1.5, 5, 6)
+    assert want == 0.09999999999999998
+    for k in (np.float32(1.5), np.float16(1.5)):
+        got = subset_rms_bound(k, 5, 6)
+        assert type(got) is float and got == want
 
 
 def test_subset_rms_bound_monotone_in_n():
@@ -219,10 +225,12 @@ def test_subset_rms_bound_monotone_in_n():
 
 
 def test_subset_rms_bound_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"subset size must be in 1\.\.3 and exceed 1, got 1\.0"):
         subset_rms_bound(1.0, 2, 3)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="subset size must be in"):
         subset_rms_bound(4.0, 2, 3)
+    with pytest.raises(ValueError, match="subset size must be in"):
+        subset_rms_bound(np.float32(np.nan), 2, 3)
     with pytest.raises(ValueError):
         subset_rms_bound(2.0, 4, 3)
 

@@ -68,6 +68,13 @@ def test_frame_entries_are_immutable():
     f = random_frame(2, 4, "real", seed=0)
     with pytest.raises(ValueError):
         f.entries[0, 0] = 7.0
+    # a Fortran-order complex input, as from x.conj().T, is stored in C order
+    x = harmonic_etf(7).entries
+    adjoint = np.ascontiguousarray(x.conj().T)
+    for ent in (np.asfortranarray(x), adjoint.conj().T):
+        assert not ent.flags.c_contiguous
+        stored = Frame("complex", ent).entries
+        assert np.array_equal(stored, x) and stored.flags.c_contiguous
 
 
 def test_gram_identity_frame():

@@ -24,6 +24,8 @@ from ewb import (
     moment_closed,
     moment_numeric,
     quantile_many,
+    save_frame,
+    simplex_etf,
     support,
 )
 from ewb.cli import main
@@ -520,6 +522,24 @@ def test_importing_the_cli_leaves_the_quadrature_rule_unbuilt():
     src = str(Path(manova.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--family", "random", "--m", "2", "--n", "4", "--p", "0.5", "--d", "2",
+     "--trials", "50", "--out", "sweep.csv"],
+    ["moments", "--frame", "frame.json", "--p", "0.5", "--d", "2", "--method", "brute",
+     "--out", "moments.csv"],
+], ids=["sweep-trials", "moments-brute"])
+def test_cli_jobs_leave_numpy_ma_unimported(tmp_path, argv):
+    save_frame(simplex_etf(3), tmp_path / "frame.json")
+    code = (f"import sys, ewb.cli; assert ewb.cli.main({argv!r}) == 0; "
+            "print('numpy.ma' in sys.modules)")
+    src = str(Path(manova.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         cwd=tmp_path)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "False"
 

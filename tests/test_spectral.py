@@ -296,20 +296,20 @@ def test_ks_distance_values_within_round_off_of_the_atom():
         assert ks_distance(nudged, params) == exact
 
 
-def ks_from_two_full_cdf_calls(pooled, params):
-    """Reference KS: both one-sided law CDFs evaluated at every candidate."""
+def ks_by_counting(pooled, params):
+    """Reference KS from its definition: values snapped onto the law's jumps as
+    ks_distance documents, then, at every pooled value t and at 0, r- and the
+    atom, both one-sided gaps |#(x <= t)/N - P(X <= t)| and |#(x < t)/N - P(X < t)|."""
     sup = support(params)
     xs = np.array(pooled, dtype=float)
     for jump, _ in sup.jumps:
         xs[np.abs(xs - jump) <= 1e-12 * np.maximum(1.0, np.abs(xs))] = jump
-    xs.sort()
-    cand = np.unique(np.concatenate([xs, [0.0, sup.r_minus, sup.atom_location]]))
-    emp_le = np.searchsorted(xs, cand, side="right") / xs.size
-    emp_lt = np.searchsorted(xs, cand, side="left") / xs.size
-    ref_le = cdf_many(cand, params)
-    ref_lt = cdf_many(cand, params, left=True)
-    return min(1.0, max(float(np.max(np.abs(emp_le - ref_le))),
-                        float(np.max(np.abs(emp_lt - ref_lt)))))
+    gap = 0.0
+    for t in set(xs.tolist()) | {0.0, sup.r_minus, sup.atom_location}:
+        le = np.count_nonzero(xs <= t) / xs.size - cdf_many([t], params)[0]
+        lt = np.count_nonzero(xs < t) / xs.size - cdf_many([t], params, left=True)[0]
+        gap = max(gap, abs(float(le)), abs(float(lt)))
+    return gap
 
 
 @pytest.mark.parametrize("gamma", [0.1, 0.25, 0.5, 0.6, 0.9, 1.0])
@@ -323,7 +323,7 @@ def test_ks_distance_left_limits_only_at_the_jumps(gamma, p):
         near = np.concatenate([jumps, np.nextafter(jumps, 0.0), np.nextafter(jumps, np.inf)])
         pooled = np.concatenate([quantile_many(rng.uniform(size=size), params),
                                  np.repeat(near, rng.integers(1, 20, near.size))])
-        assert ks_distance(pooled, params) == ks_from_two_full_cdf_calls(pooled, params)
+        assert ks_distance(pooled, params) == ks_by_counting(pooled, params)
 
 
 @settings(max_examples=60, deadline=None)
