@@ -204,31 +204,61 @@ class BruteforceTable:
         return math.fsum(terms)
 
 
+def _size_sums(vals: np.ndarray, ks: np.ndarray, n: int) -> list:
+    """sums[k][j] = math.fsum(vals[j][ks == k].tolist()) for k in 0..n, with
+    its bits, from a few exact bincount passes instead of (n + 1) x orders
+    selections.
+
+    Error-free extraction (Rump, Ogita & Oishi, SIAM J. Sci. Comput. 2008):
+    with |r| < 2^e over an order's row of B <= 2^24 values, sigma =
+    2^(e + margin) and 2^margin >= B + 2, each q = (sigma + r) - sigma is a
+    multiple of 2^(e + margin - 53), r - q is exact and every partial sum of
+    the q lies below sigma, so each pass's bincount is exact in any order.
+    Passes go on until r is zero, each taking 52 - margin bits or more off, and
+    fsum of a size's few exact pass sums is the correctly rounded total.  A
+    size holding a value the proof does not cover (not finite, or so large
+    that sigma would overflow) is summed from its values, so it gives fsum's
+    inf, nan, ValueError or OverflowError.
+    """
+    orders, count = vals.shape
+    margin, width = math.ceil(math.log2(count + 2)), orders * (n + 1)
+    bins = (ks + (n + 1) * np.arange(orders)[:, None]).ravel()
+    uncovered = ~(np.abs(vals) < math.ldexp(1.0, 1023 - margin))
+    direct = np.bincount(bins[uncovered.ravel()], minlength=width).reshape(orders, n + 1)
+    r, passes = np.where(uncovered, 0.0, vals), []
+    while r.any():
+        sigma = np.ldexp(1.0, np.frexp(np.abs(r).max(axis=1, keepdims=True))[1] + margin)
+        q = sigma + r
+        q -= sigma
+        r -= q
+        passes.append(np.bincount(bins, weights=q.ravel(), minlength=width))
+    passes = np.reshape(passes, (len(passes), orders, n + 1)).transpose(2, 1, 0).tolist()
+    return [[math.fsum(vals[j][ks == k].tolist()) if direct[j, k] else math.fsum(passes[k][j])
+             for j in range(orders)] for k in range(n + 1)]
+
+
 def bruteforce_table(frame: Frame, d_max: int = 4) -> BruteforceTable:
     """Enumerate all 2^n keep patterns once, in blocks of BRUTEFORCE_CHUNK,
     and group trace sums by subset size.
 
-    Compensated (fsum) accumulation keeps the result independent of the
-    block size to well below 1e-10.
+    Each block's sum over one subset size is correctly rounded (_size_sums),
+    then fsum adds the blocks' sums.  The bits still depend on the block
+    size, since each block's sum is rounded before they are added.
     """
     n = frame.n
     if n > BRUTEFORCE_MAX_N:
         raise ValueError(f"brute force needs n <= {BRUTEFORCE_MAX_N}, got n={n}")
     d_max = integer(d_max, "moment order")
-    partial = [[[] for _ in range(d_max)] for _ in range(n + 1)]
+    blocks = []
     bits = np.arange(n, dtype=np.int64)
     total = 1 << n
     for start in range(0, total, BRUTEFORCE_CHUNK):
         idx = np.arange(start, min(start + BRUTEFORCE_CHUNK, total), dtype=np.int64)
         masks = ((idx[:, None] >> bits[None, :]) & 1).astype(bool)
         vals = _erased_trace_powers(frame, masks, range(1, d_max + 1))
-        ks = masks.sum(axis=1)
-        for k in range(n + 1):
-            sel = ks == k
-            for j in range(d_max):
-                partial[k][j].append(math.fsum(vals[j][sel].tolist()))
+        blocks.append(_size_sums(vals, masks.sum(axis=1), n))
     sums = np.array(
-        [[math.fsum(partial[k][j]) for j in range(d_max)] for k in range(n + 1)]
+        [[math.fsum(b[k][j] for b in blocks) for j in range(d_max)] for k in range(n + 1)]
     )
     return BruteforceTable(n=n, d_max=d_max, subset_sums=sums)
 
@@ -237,8 +267,10 @@ def bruteforce_moment(frame: Frame, p: float, d: int) -> float:
     """Exact m_d as the weighted sum over all 2^n keep patterns (n <= 24).
 
     Unlike the polynomial route this places no upper limit on d, so it also
-    serves exploratory checks beyond order 4.
+    serves exploratory checks beyond order 4.  p is checked before the
+    enumeration.
     """
+    p = probability(p)
     return bruteforce_table(frame, d_max=d).moment(p, d)
 
 

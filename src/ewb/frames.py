@@ -170,14 +170,14 @@ def _gram_op(ent: np.ndarray, op) -> np.ndarray:
 @dataclass(frozen=True)
 class FrameInvariants:
     """What moments, bounds and predicates read: ffh is the frame's read-only
-    m x m FF'; traces[d-1] = (1/n) tr((FF')^d) for d <= 4; over off-diagonal
-    Gram entries c, a22, s4 and q are (1/n) sum |c|^2, (1/n) sum |c|^4 and
-    (1/n) sum_i (sum_j |c_ij|^2)^2, rms_sq/max_sq the mean/max |c|^2 and
-    etf_gap max ||c|^2 - welch_floor| (0 at n = 1); utf_residual is the
-    Frobenius norm of FF' - (n/m) I."""
+    m x m FF' and n its frame size; over off-diagonal Gram entries c, a22, s4
+    and q are (1/n) sum |c|^2, (1/n) sum |c|^4 and (1/n) sum_i (sum_j
+    |c_ij|^2)^2, rms_sq/max_sq the mean/max |c|^2 and etf_gap max ||c|^2 -
+    welch_floor| (0 at n = 1); utf_residual is the Frobenius norm of
+    FF' - (n/m) I."""
 
     ffh: np.ndarray
-    traces: tuple
+    n: int
     a22: float
     s4: float
     q: float
@@ -186,14 +186,19 @@ class FrameInvariants:
     etf_gap: float
     utf_residual: float
 
+    @cached_property
+    def traces(self) -> tuple:
+        """traces[d-1] = (1/n) tr((FF')^d) for d <= 4 (one product FF'FF'), built
+        on first read, so predicates and coherence never multiply it out."""
+        return tuple(trace_powers(self.ffh, self.n, (1, 2, 3, 4)).tolist())
+
 
 def frame_invariants(frame: Frame) -> FrameInvariants:
-    """The FF' terms (one product FF'FF' for the traces), then the |c|^2 terms
-    from one n x n float buffer, never the Gram; Frame.invariants caches it."""
+    """The FF' terms, then the |c|^2 terms from one n x n float buffer, never
+    the Gram; Frame.invariants caches it."""
     ent, m, n = frame.entries, frame.m, frame.n
     ffh = ent @ ent.conj().T
     ffh.setflags(write=False)
-    traces = tuple(trace_powers(ffh, n, (1, 2, 3, 4)).tolist())
     utf_residual = float(np.linalg.norm(ffh - (n / m) * np.eye(m)))
     sq = _gram_op(ent, np.abs)
     np.square(sq, out=sq)  # ** 2 of a float array is np.square, so the bits agree
@@ -208,7 +213,7 @@ def frame_invariants(frame: Frame) -> FrameInvariants:
     etf_gap = max(float(sq.max()) - floor, floor - float(sq.min()))
     np.fill_diagonal(sq, 0.0)
     s4 = float(np.square(sq, out=sq).sum()) / n  # sq becomes |c|^4
-    return FrameInvariants(ffh, traces, a22, s4, q, rms_sq, max_sq, etf_gap, utf_residual)
+    return FrameInvariants(ffh, n, a22, s4, q, rms_sq, max_sq, etf_gap, utf_residual)
 
 
 def gram(frame: Frame) -> np.ndarray:

@@ -170,6 +170,93 @@ def test_bruteforce_chunking_invariance(mercedes_benz, monkeypatch):
     assert_allclose(a, b, rtol=0, atol=1e-12)
 
 
+def test_bruteforce_moment_checks_p_before_enumerating(monkeypatch):
+    monkeypatch.setattr(erasure_moments, "_erased_trace_powers",
+                        lambda *a: pytest.fail("enumerated before checking p"))
+    f = random_frame(2, 18, "real", seed=1)
+    for bad in (1.5, -0.1, float("nan")):
+        with pytest.raises(ValueError, match="keep probability"):
+            bruteforce_moment(f, bad, 2)
+
+
+def literal_subset_sums(frame, d_max):
+    """subset_sums summed literally: per block and per subset size, math.fsum
+    of the selected trace values, then fsum across blocks."""
+    n, chunk, total = frame.n, erasure_moments.BRUTEFORCE_CHUNK, 1 << frame.n
+    partial = [[[] for _ in range(d_max)] for _ in range(n + 1)]
+    for start in range(0, total, chunk):
+        idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
+        masks = ((idx[:, None] >> np.arange(n)) & 1).astype(bool)
+        vals = erasure_moments._erased_trace_powers(frame, masks, range(1, d_max + 1))
+        ks = masks.sum(axis=1)
+        for k in range(n + 1):
+            for j in range(d_max):
+                partial[k][j].append(math.fsum(vals[j][ks == k].tolist()))
+    return np.array([[math.fsum(partial[k][j]) for j in range(d_max)] for k in range(n + 1)])
+
+
+def outcome(fn):
+    """fn()'s bytes, or the type and message of the error it raised."""
+    try:
+        return fn().tobytes()
+    except (ValueError, OverflowError) as err:
+        return type(err), str(err)
+
+
+def oracle_outcomes(frame, d_max):
+    return (outcome(lambda: bruteforce_table(frame, d_max).subset_sums),
+            outcome(lambda: literal_subset_sums(frame, d_max)))
+
+
+# block sizes: a prime, the default, and one block holding every pattern
+PARITY_CHUNKS = {"chunk-7": lambda n: 7, "chunk-8192": lambda n: 8192,
+                 "one-chunk": lambda n: (1 << n) + 5}
+PARITY_CASES = [(field, n, d_max, chunk) for field in ("real", "complex")
+                for n in (1, 2, 8, 13, 16) for d_max in (1, 4, 7) for chunk in PARITY_CHUNKS
+                if chunk != "chunk-7" or n <= 8 or (n == 13 and d_max == 4)]
+
+
+@pytest.mark.parametrize("field, n, d_max, chunk", PARITY_CASES)
+def test_bruteforce_sums_have_the_bits_of_per_size_fsum(field, n, d_max, chunk, monkeypatch):
+    monkeypatch.setattr(erasure_moments, "BRUTEFORCE_CHUNK", PARITY_CHUNKS[chunk](n))
+    frame = random_frame(min(n, 4), n, field, seed=n + d_max)
+    got, want = oracle_outcomes(frame, d_max)
+    assert got == want
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_bruteforce_sums_overflow_as_per_size_fsum(field, monkeypatch):
+    # the orders near 1100 overflow: sizes pass through finite values too large
+    # for the exact passes, then infinities (and NaN where inf meets 0)
+    monkeypatch.setattr(erasure_moments, "BRUTEFORCE_CHUNK", 3)
+    frame = random_frame(2, 4, field, seed=9)
+    got, want = oracle_outcomes(frame, 1100)
+    assert got == want
+    sums = bruteforce_table(frame, 1100).subset_sums
+    assert np.isinf(sums).any() and (np.isfinite(sums) & (abs(sums) > 2.0**1000)).any()
+    assert np.isnan(sums).any() == (field == "complex")
+
+
+@pytest.mark.parametrize("ones, twos, error", [
+    ([1.0, math.inf, -math.inf], [1.0, 2.0, 3.0], ValueError),
+    ([1.0, 2.0, 3.0], [1.5e308, 1.0e308, -1.0e308], OverflowError),
+    ([0.25, math.nan, math.inf], [1e308, -1e-300, 0.5e308], None),
+    ([1e300, 2.0**-1074, -1e300], [-5e306, 1.7e308, 3.0], None),
+    # three passes; adding their sums in turn would round 1 + 2^-53 to even
+    ([1.0, 2.0**-53, 2.0**-106], [1.0, 2.0**-60, -(2.0**-60)], None),
+])
+def test_bruteforce_special_values_sum_as_per_size_fsum(ones, twos, error, monkeypatch):
+    # of the 8 patterns of 3 vectors, 1, 2 and 4 keep one vector, 3, 5 and 6 two
+    table = np.zeros(8)
+    table[[1, 2, 4]], table[[3, 5, 6]] = ones, twos
+    monkeypatch.setattr(erasure_moments, "_erased_trace_powers",
+                        lambda frame, masks, orders: np.tile(table, (len(orders), 1)))
+    frame = random_frame(2, 3, "real", seed=0)
+    got, want = oracle_outcomes(frame, 2)
+    assert got == want
+    assert got[0] is error if error else isinstance(got, bytes)
+
+
 def test_oracle_equivalence_small_grid(mercedes_benz):
     frames = [
         mercedes_benz,

@@ -960,6 +960,17 @@ def test_gram_of_a_fresh_frame_takes_no_invariants(monkeypatch):
     assert "invariants" not in vars(f)
 
 
+def test_predicates_of_a_fresh_frame_take_no_trace_powers(monkeypatch):
+    # construct reports is_utf, is_etf and coherence: none needs (FF')^2
+    monkeypatch.setattr(frames, "trace_powers", lambda *a, **k: pytest.fail("traces built"))
+    f = harmonic_etf(7)
+    assert is_etf(f) and coherence(f).max_sq == f.invariants.max_sq
+    assert "traces" not in vars(f.invariants)
+    monkeypatch.undo()
+    traces = f.invariants.traces  # built on the first read, then kept
+    assert vars(f.invariants)["traces"] is traces
+
+
 def test_nearest_utf_of_a_fresh_frame_takes_no_invariants(monkeypatch):
     monkeypatch.setattr(frames, "frame_invariants", lambda frame: pytest.fail("invariants built"))
     f = random_frame(3, 70, "complex", seed=4)
@@ -989,6 +1000,7 @@ def stored_gram_invariants(frame):
     max_sq, floor = off.max(initial=0.0), welch_floor(m, n)
     return {
         "ffh": ffh,
+        "n": n,
         "traces": tuple(trace_powers(ffh, n, (1, 2, 3, 4)).tolist()),
         "a22": sq.sum() / n,
         "s4": (sq ** 2).sum() / n,
@@ -1003,7 +1015,8 @@ def stored_gram_invariants(frame):
 @pytest.mark.parametrize("frame", BIT_PANEL, ids=BIT_IDS)
 def test_invariants_have_the_bits_of_a_stored_gram(frame):
     inv, want = frames.frame_invariants(frame), stored_gram_invariants(frame)
-    assert [f.name for f in dataclasses.fields(inv)] == list(want)
+    # traces is a cached property of the fields, built on first read
+    assert [f.name for f in dataclasses.fields(inv)] == [k for k in want if k != "traces"]
     for name, value in want.items():
         assert np.asarray(getattr(inv, name)).tobytes() == np.asarray(value).tobytes(), name
 
